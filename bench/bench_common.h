@@ -90,6 +90,17 @@ inline void JsonMetricsRow(std::FILE* json, bool* first,
   *first = false;
 }
 
+/// Share of the scan stage's packets served as SP satellites (attached to
+/// an identical in-flight scan instead of executing) between two
+/// snapshots of its stats: the tscan satellite share.
+inline double ScanSatelliteShare(const StageStats& before,
+                                 const StageStats& after) {
+  const int64_t submitted = after.packets_submitted - before.packets_submitted;
+  if (submitted <= 0) return 0.0;
+  return static_cast<double>(after.sp_hits - before.sp_hits) /
+         static_cast<double>(submitted);
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title.c_str());

@@ -70,12 +70,21 @@ echo "=== fault ablation (smoke) -> BENCH_faults.json ==="
 # nonzero if the disarmed probe adds >= 2% to a realistic append loop.
 SHARING_BENCH_JSON=BENCH_faults.json ./build/bench_ablation_faults
 
+echo "=== operator kernels (smoke) -> BENCH_kernels.json ==="
+# Rows/s of the page-at-a-time kernels on memory-resident lineitem:
+# scan+filter, hash-join build and probe, hash aggregate on Q1 (4 groups)
+# and on l_orderkey (high cardinality); also prints the shared-vs-
+# independent scan micro.
+SHARING_BENCH_SF=0.01 SHARING_BENCH_JSON=BENCH_kernels.json \
+  ./build/bench_micro_scans
+
 echo "=== bench trajectory -> BENCH_trajectory.json ==="
 # Folds the sweeps above into the headline numbers a regression diff
 # tracks across PRs (16-reader aggregate, adaptive divergence, drain
-# wall, retained-vs-budget, admin-scrape ratio).
+# wall, retained-vs-budget, admin-scrape ratio, kernel rows/s).
 ./build/bench_trajectory BENCH_trajectory.json \
-  BENCH_contention.json BENCH_adaptive.json BENCH_io.json BENCH_spill.json
+  BENCH_contention.json BENCH_adaptive.json BENCH_io.json BENCH_spill.json \
+  BENCH_kernels.json
 
 if [[ "${1:-}" != "--fast" ]]; then
   echo "=== tier-1 under AddressSanitizer ==="

@@ -6,9 +6,17 @@
 // to the same canonical string (the paper: SP "is limited to common
 // sub-plans with identical predicates").
 //
-// Evaluation is virtual-dispatch per tuple with unboxed results
-// (EvalBool/EvalDouble/EvalInt64); boxing via Value is reserved for plan
-// construction and tests.
+// Evaluation has two granularities over the same tree:
+//  * Page-at-a-time (EvalDoubleBatch/EvalBoolBatch): one virtual call per
+//    node per page. Leaves load a whole strided column into a buffer and
+//    interior nodes run one tight loop over their children's buffers, so
+//    the per-row cost is arithmetic, not dispatch. The query-centric
+//    operators (scan filter, aggregate inputs) use only this path.
+//  * Per-row (EvalBool/EvalDouble/EvalInt64/EvalString): virtual dispatch
+//    per tuple with unboxed results. The ReferenceExecutor test oracle,
+//    CJOIN's dimension/fact filters and the batch defaults use it.
+// Both produce bit-identical results (tests/expr_test.cc). Boxing via
+// Value is reserved for plan construction and tests.
 
 #pragma once
 
@@ -59,6 +67,22 @@ class Expr {
 
   /// String evaluation. Valid when output_type is kString.
   virtual std::string_view EvalString(TupleRef row) const;
+
+  /// Page-at-a-time EvalDouble over `n` packed rows laid out `stride`
+  /// bytes apart from `rows`: out[i] is EvalDouble of row i, bit for bit.
+  /// The default loops over EvalDouble.
+  virtual void EvalDoubleBatch(const uint8_t* rows, std::size_t stride,
+                               std::size_t n, const Schema& schema,
+                               double* out) const;
+
+  /// Page-at-a-time EvalBool over a selection vector: `sel[0, n)` holds
+  /// ascending row indices into `rows` (rows are `stride` bytes apart).
+  /// Keeps, in order, exactly the entries whose row satisfies EvalBool and
+  /// returns how many remain. Rows outside the selection are never
+  /// evaluated. The default loops over EvalBool.
+  virtual std::size_t EvalBoolBatch(const uint8_t* rows, std::size_t stride,
+                                    const Schema& schema, uint32_t* sel,
+                                    std::size_t n) const;
 
   /// Stable canonical rendering; equal strings <=> identical expressions.
   virtual std::string Canonical() const = 0;

@@ -1,9 +1,9 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <string>
-#include <unordered_map>
+#include <numeric>
 #include <vector>
 
 #include "common/logging.h"
@@ -85,32 +85,223 @@ Status FinishNoConsumers(PageSink* sink,
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// Kernel building blocks
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// One byte copy from an input row into an output row or packed key.
+struct ByteRange {
+  std::size_t src, dst, width;
+};
+
+/// Appends a column copy, merging it into the previous range when it is
+/// adjacent on both sides — a projection of neighbouring columns (Q1's
+/// six lineitem columns, say) becomes one memcpy per row.
+void AddRange(std::vector<ByteRange>* ranges, std::size_t src,
+              std::size_t dst, std::size_t width) {
+  if (!ranges->empty()) {
+    ByteRange& last = ranges->back();
+    if (last.src + last.width == src && last.dst + last.width == dst) {
+      last.width += width;
+      return;
+    }
+  }
+  ranges->push_back({src, dst, width});
+}
+
+void CopyRanges(const std::vector<ByteRange>& ranges, const uint8_t* src,
+                uint8_t* dst) {
+  for (const ByteRange& r : ranges) {
+    std::memcpy(dst + r.dst, src + r.src, r.width);
+  }
+}
+
+uint64_t LoadWord(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Open-addressing hash table from fixed-width packed keys to dense ids
+/// (0, 1, 2, ... in insertion order): the one table behind hash join (a
+/// directory of distinct build keys) and hash aggregate (group ids).
+///
+/// Linear probing over 8-byte slots {hash tag, id}; the tag rejects
+/// nearly every mismatch without touching key storage. Keys of at most 8
+/// bytes are stored and compared as one zero-padded uint64_t; wider keys
+/// live in a byte arena indexed by id. The load factor stays at or below
+/// 1/2; growth doubles the slots and re-places every id by rehashing its
+/// stored key. Emptiness is a slot property (id == kNone), so every key
+/// value, INT64_MIN included, is storable.
+///
+/// Hashing is Fibonacci (multiplicative): the home slot is the product's
+/// top bits, the tag its low 32 bits. Dense integer keys, the common join
+/// and group-by case, then land on distinct home slots, so a probe
+/// almost never walks past its first slot.
+class FlatTable {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  explicit FlatTable(std::size_t key_width)
+      : key_width_(key_width), slots_(kInitialSlots, Slot{0, kNone}) {}
+
+  std::size_t size() const { return size_; }
+
+  /// Keys wider than one word take the byte-arena path.
+  bool wide() const { return key_width_ > sizeof(uint64_t); }
+
+  /// Packed key bytes of `id`.
+  const uint8_t* key(uint32_t id) const {
+    return wide() ? bytes_.data() + std::size_t(id) * key_width_
+                  : reinterpret_cast<const uint8_t*>(&words_[id]);
+  }
+
+  /// Narrow keys: the id of `word`, or kNone.
+  uint32_t FindWord(uint64_t word) const {
+    return slots_[ProbeWord(word, HashWord(word))].id;
+  }
+
+  /// Narrow keys: the id of `word`, inserted as size() when absent.
+  uint32_t FindOrInsertWord(uint64_t word) {
+    const uint64_t hash = HashWord(word);
+    const std::size_t pos = ProbeWord(word, hash);
+    if (slots_[pos].id != kNone) return slots_[pos].id;
+    words_.push_back(word);
+    return Place(pos, hash);
+  }
+
+  /// Wide keys: the id of the packed key, inserted as size() when absent.
+  uint32_t FindOrInsertBytes(const uint8_t* packed) {
+    const uint64_t hash = HashBytes(packed);
+    const std::size_t pos = Probe(hash, [&](uint32_t id) {
+      return std::memcmp(key(id), packed, key_width_) == 0;
+    });
+    if (slots_[pos].id != kNone) return slots_[pos].id;
+    bytes_.insert(bytes_.end(), packed, packed + key_width_);
+    return Place(pos, hash);
+  }
+
+ private:
+  struct Slot {
+    uint32_t tag;
+    uint32_t id;
+  };
+  static constexpr std::size_t kInitialSlots = 64;
+  static constexpr uint64_t kFibonacci = 0x9e3779b97f4a7c15ULL;  // 2^64/phi
+
+  static uint64_t HashWord(uint64_t word) { return word * kFibonacci; }
+
+  /// Folds the key word by word; the rotate carries each step's high
+  /// (well-mixed) bits into the next multiply's low inputs.
+  uint64_t HashBytes(const uint8_t* packed) const {
+    uint64_t hash = key_width_;
+    for (std::size_t off = 0; off < key_width_; off += sizeof(uint64_t)) {
+      uint64_t word = 0;
+      std::memcpy(&word, packed + off,
+                  std::min(sizeof(word), key_width_ - off));
+      hash = HashWord(std::rotl(hash, 29) ^ word);
+    }
+    return hash;
+  }
+
+  static uint32_t Tag(uint64_t hash) { return static_cast<uint32_t>(hash); }
+
+  std::size_t Home(uint64_t hash) const { return hash >> shift_; }
+
+  /// The slot holding the id whose key satisfies `match`, or the empty
+  /// slot where that key belongs.
+  template <typename Match>
+  std::size_t Probe(uint64_t hash, Match match) const {
+    const uint32_t tag = Tag(hash);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t pos = Home(hash);; pos = (pos + 1) & mask) {
+      const Slot& s = slots_[pos];
+      if (s.id == kNone || (s.tag == tag && match(s.id))) return pos;
+    }
+  }
+
+  std::size_t ProbeWord(uint64_t word, uint64_t hash) const {
+    return Probe(hash, [&](uint32_t id) { return words_[id] == word; });
+  }
+
+  /// Claims empty slot `pos` for the key just appended to key storage.
+  uint32_t Place(std::size_t pos, uint64_t hash) {
+    SHARING_CHECK(size_ < kNone) << "flat table overflow";
+    const uint32_t id = static_cast<uint32_t>(size_++);
+    slots_[pos] = Slot{Tag(hash), id};
+    if (2 * size_ > slots_.size()) Grow();
+    return id;
+  }
+
+  void Grow() {
+    slots_.assign(slots_.size() * 2, Slot{0, kNone});
+    --shift_;
+    const std::size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < size_; ++id) {
+      const uint64_t hash =
+          wide() ? HashBytes(key(id)) : HashWord(words_[id]);
+      std::size_t pos = Home(hash);
+      while (slots_[pos].id != kNone) pos = (pos + 1) & mask;
+      slots_[pos] = Slot{Tag(hash), id};
+    }
+  }
+
+  std::size_t key_width_;
+  std::size_t size_ = 0;
+  std::vector<Slot> slots_;
+  int shift_ = 64 - std::countr_zero(kInitialSlots);  // 64 - log2(slots)
+  std::vector<uint64_t> words_;  // narrow keys, by id
+  std::vector<uint8_t> bytes_;   // wide keys, key_width_ bytes per id
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // Scan
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Filters+projects the rows of one stored page into the emitter.
-/// Returns false when the sink lost all consumers.
-bool ScanOnePage(const ScanNode& node, const Schema& table_schema,
-                 const uint8_t* frame, PageEmitter* emitter) {
-  const uint32_t n_rows = page_layout::RowCount(frame);
-  const Expr* pred = node.predicate().get();
-  const auto& projection = node.projection();
-  const Schema& out_schema = node.output_schema();
-  for (uint32_t i = 0; i < n_rows; ++i) {
-    TupleRef row(page_layout::RowAt(frame, i), &table_schema);
-    if (!pred->EvalBool(row)) continue;
-    uint8_t* slot = emitter->AppendSlot();
-    if (slot == nullptr) return false;
-    for (std::size_t c = 0; c < projection.size(); ++c) {
-      std::memcpy(slot + out_schema.offset(c),
-                  row.data() + table_schema.offset(projection[c]),
-                  out_schema.column(c).width);
+/// Page-at-a-time filter + projection for one scan: the predicate
+/// narrows a selection vector over the whole stored page, then only the
+/// surviving rows are copied out, through merged byte ranges.
+class ScanKernel {
+ public:
+  ScanKernel(const ScanNode& node, const Schema& table_schema)
+      : predicate_(node.predicate().get()), schema_(table_schema) {
+    const Schema& out = node.output_schema();
+    for (std::size_t c = 0; c < node.projection().size(); ++c) {
+      AddRange(&copies_, table_schema.offset(node.projection()[c]),
+               out.offset(c), out.column(c).width);
     }
   }
-  return true;
-}
+
+  /// Filters+projects the rows of one stored page into the emitter.
+  /// Returns false when the sink lost all consumers.
+  bool Run(const uint8_t* frame, PageEmitter* emitter) {
+    const uint32_t n_rows = page_layout::RowCount(frame);
+    const std::size_t stride = schema_.row_width();
+    SHARING_DCHECK(page_layout::RowWidth(frame) == stride);
+    const uint8_t* rows = frame + page_layout::kHeaderBytes;
+    sel_.resize(n_rows);
+    std::iota(sel_.begin(), sel_.end(), 0u);
+    const std::size_t kept =
+        predicate_->EvalBoolBatch(rows, stride, schema_, sel_.data(), n_rows);
+    for (std::size_t k = 0; k < kept; ++k) {
+      uint8_t* slot = emitter->AppendSlot();
+      if (slot == nullptr) return false;
+      CopyRanges(copies_, rows + std::size_t(sel_[k]) * stride, slot);
+    }
+    return true;
+  }
+
+ private:
+  const Expr* predicate_;
+  const Schema& schema_;
+  std::vector<ByteRange> copies_;
+  std::vector<uint32_t> sel_;
+};
 
 }  // namespace
 
@@ -120,6 +311,7 @@ Status RunScan(const ScanNode& node, const Table* table,
   SHARING_CHECK(table->schema() == node.table_schema())
       << "plan schema does not match table " << table->name();
   PageEmitter emitter(node.output_schema().row_width(), sink);
+  ScanKernel kernel(node, table->schema());
 
   if (scan_group != nullptr) {
     auto ticket = scan_group->Attach();
@@ -128,7 +320,7 @@ Status RunScan(const ScanNode& node, const Table* table,
         ticket->Cancel();
         return FinishStopped(ctx, sink);
       }
-      if (!ScanOnePage(node, table->schema(), page->data(), &emitter)) {
+      if (!kernel.Run(page->data(), &emitter)) {
         ticket->Cancel();
         return FinishNoConsumers(sink);
       }
@@ -147,8 +339,7 @@ Status RunScan(const ScanNode& node, const Table* table,
         sink->Close(guard_or.status());
         return guard_or.status();
       }
-      if (!ScanOnePage(node, table->schema(), guard_or.value().data(),
-                       &emitter)) {
+      if (!kernel.Run(guard_or.value().data(), &emitter)) {
         return FinishNoConsumers(sink);
       }
     }
@@ -171,19 +362,33 @@ Status RunHashJoin(const JoinNode& node, PageSource* build, PageSource* probe,
   const std::size_t probe_width = probe_schema.row_width();
   const std::size_t build_key_off = build_schema.offset(node.build_key());
   const std::size_t probe_key_off = probe_schema.offset(node.probe_key());
+  constexpr uint32_t kNone = FlatTable::kNone;
 
-  // Build phase: copy rows into an arena keyed by the join column.
+  // Build phase: rows are copied page by page into an arena. A flat
+  // directory maps each distinct key to its first and last build row;
+  // next[] chains the rows sharing a key in build order.
   std::vector<uint8_t> arena;
-  std::unordered_multimap<int64_t, uint32_t> table;
+  FlatTable directory(sizeof(int64_t));
+  std::vector<uint32_t> head, tail;  // by directory id
+  std::vector<uint32_t> next;        // by build row
   while (PageRef page = build->Next()) {
     if (ctx->StopRequested()) return FinishStopped(ctx, sink, {build, probe});
-    for (std::size_t i = 0; i < page->row_count(); ++i) {
-      const uint8_t* row = page->RowAt(i);
-      int64_t key;
-      std::memcpy(&key, row + build_key_off, sizeof(key));
-      table.emplace(key,
-                    static_cast<uint32_t>(arena.size() / build_width));
-      arena.insert(arena.end(), row, row + build_width);
+    const std::size_t n = page->row_count();
+    if (n == 0) continue;
+    const uint8_t* rows = page->RowAt(0);
+    arena.insert(arena.end(), rows, rows + n * build_width);
+    for (std::size_t i = 0; i < n; ++i) {
+      const uint32_t row = static_cast<uint32_t>(next.size());
+      next.push_back(kNone);
+      const uint32_t id = directory.FindOrInsertWord(
+          LoadWord(rows + i * build_width + build_key_off));
+      if (id == head.size()) {
+        head.push_back(row);
+        tail.push_back(row);
+      } else {
+        next[tail[id]] = row;
+        tail[id] = row;
+      }
     }
   }
   if (!build->FinalStatus().ok()) {
@@ -196,19 +401,23 @@ Status RunHashJoin(const JoinNode& node, PageSource* build, PageSource* probe,
     return st;
   }
 
-  // Probe phase.
+  // Probe phase: each output row is the build row's bytes followed by the
+  // probe row's, matches in build order.
   PageEmitter emitter(node.output_schema().row_width(), sink);
   while (PageRef page = probe->Next()) {
     if (ctx->StopRequested()) return FinishStopped(ctx, sink, {probe});
-    for (std::size_t i = 0; i < page->row_count(); ++i) {
-      const uint8_t* row = page->RowAt(i);
-      int64_t key;
-      std::memcpy(&key, row + probe_key_off, sizeof(key));
-      auto [lo, hi] = table.equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
+    const std::size_t n = page->row_count();
+    if (n == 0) continue;
+    const uint8_t* rows = page->RowAt(0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const uint8_t* row = rows + i * probe_width;
+      const uint32_t id =
+          directory.FindWord(LoadWord(row + probe_key_off));
+      if (id == kNone) continue;
+      for (uint32_t b = head[id]; b != kNone; b = next[b]) {
         uint8_t* slot = emitter.AppendSlot();
         if (slot == nullptr) return FinishNoConsumers(sink, {probe});
-        std::memcpy(slot, arena.data() + std::size_t(it->second) * build_width,
+        std::memcpy(slot, arena.data() + std::size_t(b) * build_width,
                     build_width);
         std::memcpy(slot + build_width, row, probe_width);
       }
@@ -229,78 +438,95 @@ Status RunHashJoin(const JoinNode& node, PageSource* build, PageSource* probe,
 // Hash aggregate
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct GroupState {
-  // One slot per AggSpec: sum/min/max in `acc`, count in `count`
-  // (kAvg uses both).
-  std::vector<double> acc;
-  std::vector<int64_t> count;
-  std::vector<bool> seen;  // for min/max initialization
-};
-
-}  // namespace
-
 Status RunHashAggregate(const AggregateNode& node, PageSource* input,
                         ExecContext* ctx, PageSink* sink) {
   const Schema& in_schema = node.child()->output_schema();
-  const auto& group_by = node.group_by();
+  const std::size_t stride = in_schema.row_width();
   const auto& aggs = node.aggs();
+  const std::size_t n_aggs = aggs.size();
 
-  // Precompute group-key extraction layout: byte ranges of group columns.
-  std::vector<std::pair<std::size_t, std::size_t>> key_ranges;  // off, width
+  // The group key is the group-by columns' bytes packed back to back.
+  // A global aggregate (no group-by) is one group and never touches the
+  // table: every row's group id stays 0.
+  const bool grouped = !node.group_by().empty();
+  std::vector<ByteRange> key_ranges;
   std::size_t key_width = 0;
-  for (auto g : group_by) {
-    key_ranges.emplace_back(in_schema.offset(g), in_schema.column(g).width);
+  for (auto g : node.group_by()) {
+    AddRange(&key_ranges, in_schema.offset(g), key_width,
+             in_schema.column(g).width);
     key_width += in_schema.column(g).width;
   }
+  FlatTable groups(key_width);
+  // Bytes past key_width stay zero: a narrow key reads as a padded word.
+  std::vector<uint8_t> key_buf(std::max(key_width, sizeof(uint64_t)));
 
-  std::unordered_map<std::string, GroupState> groups;
-  std::string key_buf(key_width, '\0');
+  // Flat state, slot gid * n_aggs + a: sum/min/max in `acc`, rows folded
+  // in `count` (kAvg uses both). For min/max, count == 0 means "no value
+  // yet", so the first value seeds the state.
+  std::size_t n_groups = 0;
+  std::vector<double> acc;
+  std::vector<int64_t> count;
+  std::vector<uint32_t> gids;  // per row of the current page
+  std::vector<double> vals;    // one AggSpec's input, per row
 
   while (PageRef page = input->Next()) {
     if (ctx->StopRequested()) return FinishStopped(ctx, sink, {input});
-    for (std::size_t i = 0; i < page->row_count(); ++i) {
-      const uint8_t* row = page->RowAt(i);
-      // Materialize the concatenated group key.
-      std::size_t pos = 0;
-      for (const auto& [off, width] : key_ranges) {
-        std::memcpy(key_buf.data() + pos, row + off, width);
-        pos += width;
+    const std::size_t n = page->row_count();
+    if (n == 0) continue;
+    const uint8_t* rows = page->RowAt(0);
+
+    // Group id of every row, then grow the state to cover new groups.
+    gids.assign(n, 0);
+    if (grouped) {
+      for (std::size_t i = 0; i < n; ++i) {
+        CopyRanges(key_ranges, rows + i * stride, key_buf.data());
+        gids[i] = groups.wide()
+                      ? groups.FindOrInsertBytes(key_buf.data())
+                      : groups.FindOrInsertWord(LoadWord(key_buf.data()));
       }
-      auto [it, inserted] = groups.try_emplace(key_buf);
-      GroupState& g = it->second;
-      if (inserted) {
-        g.acc.assign(aggs.size(), 0.0);
-        g.count.assign(aggs.size(), 0);
-        g.seen.assign(aggs.size(), false);
+      n_groups = groups.size();
+    } else {
+      n_groups = 1;
+    }
+    acc.resize(n_groups * n_aggs, 0.0);
+    count.resize(n_groups * n_aggs, 0);
+
+    // One batched evaluation and one tight update loop per AggSpec.
+    vals.resize(n);
+    for (std::size_t a = 0; a < n_aggs; ++a) {
+      const AggSpec& spec = aggs[a];
+      double* acc_a = acc.data() + a;
+      int64_t* count_a = count.data() + a;
+      auto state_of = [&](std::size_t i) { return gids[i] * n_aggs; };
+      if (spec.func != AggSpec::Func::kCount) {
+        spec.input->EvalDoubleBatch(rows, stride, n, in_schema, vals.data());
       }
-      TupleRef tuple(row, &in_schema);
-      for (std::size_t a = 0; a < aggs.size(); ++a) {
-        const AggSpec& spec = aggs[a];
-        switch (spec.func) {
-          case AggSpec::Func::kCount:
-            ++g.count[a];
-            break;
-          case AggSpec::Func::kSum:
-          case AggSpec::Func::kAvg: {
-            g.acc[a] += spec.input->EvalDouble(tuple);
-            ++g.count[a];
-            break;
+      switch (spec.func) {
+        case AggSpec::Func::kCount:
+          for (std::size_t i = 0; i < n; ++i) ++count_a[state_of(i)];
+          break;
+        case AggSpec::Func::kSum:
+        case AggSpec::Func::kAvg:
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t s = state_of(i);
+            acc_a[s] += vals[i];
+            ++count_a[s];
           }
-          case AggSpec::Func::kMin: {
-            double v = spec.input->EvalDouble(tuple);
-            if (!g.seen[a] || v < g.acc[a]) g.acc[a] = v;
-            g.seen[a] = true;
-            break;
+          break;
+        case AggSpec::Func::kMin:
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t s = state_of(i);
+            if (count_a[s] == 0 || vals[i] < acc_a[s]) acc_a[s] = vals[i];
+            ++count_a[s];
           }
-          case AggSpec::Func::kMax: {
-            double v = spec.input->EvalDouble(tuple);
-            if (!g.seen[a] || v > g.acc[a]) g.acc[a] = v;
-            g.seen[a] = true;
-            break;
+          break;
+        case AggSpec::Func::kMax:
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t s = state_of(i);
+            if (count_a[s] == 0 || vals[i] > acc_a[s]) acc_a[s] = vals[i];
+            ++count_a[s];
           }
-        }
+          break;
       }
     }
   }
@@ -313,28 +539,31 @@ Status RunHashAggregate(const AggregateNode& node, PageSource* input,
   // Emit one row per group: packed group key bytes, then aggregate values.
   const Schema& out_schema = node.output_schema();
   PageEmitter emitter(out_schema.row_width(), sink);
-  for (const auto& [key, g] : groups) {
+  for (std::size_t gid = 0; gid < n_groups; ++gid) {
     if (ctx->StopRequested()) return FinishStopped(ctx, sink);
     uint8_t* slot = emitter.AppendSlot();
     if (slot == nullptr) return FinishNoConsumers(sink);
-    std::memcpy(slot, key.data(), key.size());
-    std::size_t off = key.size();
-    for (std::size_t a = 0; a < aggs.size(); ++a) {
+    if (grouped) {
+      std::memcpy(slot, groups.key(static_cast<uint32_t>(gid)), key_width);
+    }
+    std::size_t off = key_width;
+    for (std::size_t a = 0; a < n_aggs; ++a) {
+      const std::size_t s = gid * n_aggs + a;
       switch (aggs[a].func) {
         case AggSpec::Func::kCount: {
-          int64_t c = g.count[a];
+          int64_t c = count[s];
           std::memcpy(slot + off, &c, sizeof(c));
           off += sizeof(c);
           break;
         }
         case AggSpec::Func::kAvg: {
-          double v = g.count[a] == 0 ? 0.0 : g.acc[a] / double(g.count[a]);
+          double v = count[s] == 0 ? 0.0 : acc[s] / double(count[s]);
           std::memcpy(slot + off, &v, sizeof(v));
           off += sizeof(v);
           break;
         }
         default: {
-          double v = g.acc[a];
+          double v = acc[s];
           std::memcpy(slot + off, &v, sizeof(v));
           off += sizeof(v);
           break;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "exec/expr.h"
@@ -161,6 +163,179 @@ TEST_F(ExprTest, CanonicalRendersStructure) {
 TEST_F(ExprTest, ColNamedResolvesByName) {
   ExprRef e = ColNamed(schema_, "d");
   EXPECT_DOUBLE_EQ(e->EvalDouble(Row()), 2.5);
+}
+
+// ---------------------------------------------------------------------------
+// Page-at-a-time evaluation: every batched result must be bit-identical to
+// the per-row Eval* result (the operators use the former, the reference
+// executor the latter).
+// ---------------------------------------------------------------------------
+
+class ExprBatchTest : public ::testing::Test {
+ protected:
+  // More rows than one internal chunk, and an odd row width (43 bytes,
+  // led by a 1-byte string) so every numeric load is unaligned.
+  static constexpr std::size_t kRows = 1301;
+
+  ExprBatchTest()
+      : schema_({Column::String("p", 1), Column::Int64("i"),
+                 Column::Double("d"), Column::DateCol("t"),
+                 Column::String("s", 6), Column::Int64("k"),
+                 Column::Double("e")}),
+        page_(kRows * schema_.row_width()) {
+    const char* words[] = {"", "A", "AB", "ABC", "B", "ZZZZZZ", "AB  C"};
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const int64_t x = static_cast<int64_t>(r * 2654435761u % 2001) - 1000;
+      double d = static_cast<double>(x) * 0.37;
+      if (r % 97 == 0) d = std::numeric_limits<double>::quiet_NaN();
+      if (r % 89 == 0) d = -0.0;
+      RowWriter(page_.data() + r * schema_.row_width(), &schema_)
+          .SetString(0, r % 2 ? "X" : "Y")
+          .SetInt64(1, x)
+          .SetDouble(2, d)
+          .SetDate(3, Date{static_cast<int32_t>(8000 + x)})
+          .SetString(4, words[r % 7])
+          .SetInt64(5, (x % 13 == 0) ? 7 : x % 13)  // never zero
+          .SetDouble(6, 1.0 + static_cast<double>(r % 5) * 0.25);
+    }
+  }
+
+  std::size_t stride() const { return schema_.row_width(); }
+  TupleRef Row(std::size_t r) const {
+    return TupleRef(page_.data() + r * stride(), &schema_);
+  }
+
+  ExprRef I() const { return Col(1, ValueType::kInt64); }
+  ExprRef D() const { return Col(2, ValueType::kDouble); }
+  ExprRef T() const { return Col(3, ValueType::kDate); }
+  ExprRef S() const { return Col(4, ValueType::kString); }
+  ExprRef K() const { return Col(5, ValueType::kInt64); }
+  ExprRef E() const { return Col(6, ValueType::kDouble); }
+
+  void ExpectDoubleBatchMatchesRows(const ExprRef& e) const {
+    std::vector<double> got(kRows);
+    e->EvalDoubleBatch(page_.data(), stride(), kRows, schema_, got.data());
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const double want = e->EvalDouble(Row(r));
+      ASSERT_EQ(std::memcmp(&want, &got[r], sizeof(double)), 0)
+          << e->Canonical() << " row " << r << ": " << want << " vs "
+          << got[r];
+    }
+  }
+
+  /// Over the full selection and over a sparse one (every third row).
+  void ExpectBoolBatchMatchesRows(const ExprRef& e) const {
+    for (std::size_t step : {1, 3}) {
+      std::vector<uint32_t> sel, want;
+      for (std::size_t r = 0; r < kRows; r += step) {
+        sel.push_back(static_cast<uint32_t>(r));
+        if (e->EvalBool(Row(r))) want.push_back(static_cast<uint32_t>(r));
+      }
+      sel.resize(
+          e->EvalBoolBatch(page_.data(), stride(), schema_, sel.data(),
+                           sel.size()));
+      EXPECT_EQ(sel, want) << e->Canonical() << " step " << step;
+    }
+  }
+
+  Schema schema_;
+  std::vector<uint8_t> page_;
+};
+
+TEST_F(ExprBatchTest, ColumnOfEveryNumericType) {
+  ExpectDoubleBatchMatchesRows(I());
+  ExpectDoubleBatchMatchesRows(D());
+  ExpectDoubleBatchMatchesRows(T());
+  ExpectDoubleBatchMatchesRows(E());
+}
+
+TEST_F(ExprBatchTest, Literal) {
+  ExpectDoubleBatchMatchesRows(Lit(int64_t{-42}));
+  ExpectDoubleBatchMatchesRows(Lit(0.1));
+  ExpectDoubleBatchMatchesRows(Lit(MakeDate(1995, 6, 17)));
+}
+
+TEST_F(ExprBatchTest, ArithIntAndDoubleEveryOp) {
+  for (ArithOp op : {ArithOp::kAdd, ArithOp::kSub, ArithOp::kMul,
+                     ArithOp::kDiv, ArithOp::kMod}) {
+    ExpectDoubleBatchMatchesRows(Arith(op, I(), K()));         // int
+    ExpectDoubleBatchMatchesRows(Arith(op, I(), Lit(int64_t{3})));
+    ExpectDoubleBatchMatchesRows(Arith(op, D(), E()));         // double
+    ExpectDoubleBatchMatchesRows(Arith(op, Lit(1.5), D()));
+    ExpectDoubleBatchMatchesRows(Arith(op, T(), K()));         // date
+  }
+  // Q1's nested charge expression: price * (1 - disc) * (1 + tax).
+  ExpectDoubleBatchMatchesRows(
+      Arith(ArithOp::kMul,
+            Arith(ArithOp::kMul, D(), Arith(ArithOp::kSub, Lit(1.0), E())),
+            Arith(ArithOp::kAdd, Lit(1.0), E())));
+}
+
+TEST_F(ExprBatchTest, NumericCompareEveryOp) {
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
+                   CmpOp::kGt, CmpOp::kGe}) {
+    ExpectBoolBatchMatchesRows(Cmp(op, I(), Lit(int64_t{17})));  // int
+    ExpectBoolBatchMatchesRows(Cmp(op, Lit(int64_t{0}), K()));
+    ExpectBoolBatchMatchesRows(Cmp(op, D(), Lit(-3.7)));  // double, NaNs
+    ExpectBoolBatchMatchesRows(Cmp(op, I(), D()));        // mixed
+    ExpectBoolBatchMatchesRows(Cmp(op, D(), D()));
+    ExpectBoolBatchMatchesRows(
+        Cmp(op, Arith(ArithOp::kMod, I(), K()), Lit(int64_t{2})));
+  }
+}
+
+TEST_F(ExprBatchTest, DateCompare) {
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kLt, CmpOp::kGe}) {
+    ExpectBoolBatchMatchesRows(Cmp(op, T(), Lit(Date{8123})));
+    ExpectBoolBatchMatchesRows(Cmp(op, T(), T()));
+  }
+  ExpectBoolBatchMatchesRows(
+      Between(T(), Value(Date{7500}), Value(Date{8500})));
+}
+
+TEST_F(ExprBatchTest, StringCompare) {
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
+                   CmpOp::kGt, CmpOp::kGe}) {
+    ExpectBoolBatchMatchesRows(Cmp(op, S(), Lit("AB")));
+    ExpectBoolBatchMatchesRows(Cmp(op, Lit("B"), S()));
+    ExpectBoolBatchMatchesRows(
+        Cmp(op, S(), Col(0, ValueType::kString)));  // column vs column
+  }
+}
+
+TEST_F(ExprBatchTest, AndOrNot) {
+  ExprRef a = Cmp(CmpOp::kGt, I(), Lit(int64_t{-300}));
+  ExprRef b = Cmp(CmpOp::kLt, D(), Lit(150.0));
+  ExprRef c = Cmp(CmpOp::kEq, S(), Lit("ABC"));
+  ExpectBoolBatchMatchesRows(And(a, b));
+  ExpectBoolBatchMatchesRows(And({a, b, c}));
+  ExpectBoolBatchMatchesRows(Or(b, c));
+  ExpectBoolBatchMatchesRows(Or({c, Not(a), b}));
+  ExpectBoolBatchMatchesRows(Not(b));
+  ExpectBoolBatchMatchesRows(Not(And(a, Or(b, c))));
+  ExpectBoolBatchMatchesRows(And(Or(a, c), Not(Or(b, c))));
+  ExpectBoolBatchMatchesRows(TruePredicate());
+}
+
+TEST_F(ExprBatchTest, NonPredicateAsBooleanUsesDefault) {
+  // Columns and arithmetic used as predicates (non-zero is true) take
+  // the default EvalBoolBatch; compares over them take the per-row
+  // operand fallback.
+  ExpectBoolBatchMatchesRows(K());
+  ExpectBoolBatchMatchesRows(Arith(ArithOp::kMod, I(), Lit(int64_t{4})));
+  ExpectDoubleBatchMatchesRows(Cmp(CmpOp::kLt, I(), K()));
+}
+
+TEST_F(ExprBatchTest, EmptyBatchesAreNoOps) {
+  uint32_t sel[1] = {7};
+  ExprRef pred = And(Cmp(CmpOp::kGt, I(), Lit(int64_t{0})),
+                     Not(Cmp(CmpOp::kEq, S(), Lit("A"))));
+  EXPECT_EQ(pred->EvalBoolBatch(page_.data(), stride(), schema_, sel, 0), 0u);
+  EXPECT_EQ(sel[0], 7u);
+  double out[1] = {42.0};
+  Arith(ArithOp::kAdd, D(), E())->EvalDoubleBatch(page_.data(), stride(), 0,
+                                                  schema_, out);
+  EXPECT_EQ(out[0], 42.0);
 }
 
 }  // namespace

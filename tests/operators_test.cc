@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <limits>
 #include <thread>
 
 #include "exec/operators.h"
@@ -138,6 +141,36 @@ class OperatorsTest : public ::testing::Test {
                                       std::vector<std::size_t>{0, 1});
   }
 
+  /// Creates table `name` (k int64, tag string(25), v double) whose row i
+  /// has k = key(i), tag = "TAG#<i % 300>" and v = i * 0.25 - 100, and
+  /// returns an unfiltered scan of all three columns.
+  PlanNodeRef MakeKeyedTable(const std::string& name, int64_t rows,
+                             const std::function<int64_t(int64_t)>& key) {
+    Schema schema({Column::Int64("k"), Column::String("tag", 25),
+                   Column::Double("v")});
+    auto t = db_->catalog()->CreateTable(name, schema, db_->buffer_pool());
+    EXPECT_TRUE(t.ok());
+    TableAppender appender(t.value());
+    for (int64_t i = 0; i < rows; ++i) {
+      auto row = appender.AppendRow();
+      EXPECT_TRUE(row.ok());
+      row.value()
+          .SetInt64(0, key(i))
+          .SetString(1, "TAG#" + std::to_string(i % 300))
+          .SetDouble(2, double(i) * 0.25 - 100.0);
+    }
+    EXPECT_TRUE(appender.Finish().ok());
+    return std::make_shared<ScanNode>(name, schema, TruePredicate(),
+                                      std::vector<std::size_t>{0, 1, 2});
+  }
+
+  std::size_t RowsOf(const PlanNodeRef& plan) {
+    PipelineRunner runner(db_.get());
+    auto got = runner.Run(plan);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    return got.ok() ? got.value().num_rows() : 0;
+  }
+
   std::unique_ptr<Database> db_;
 };
 
@@ -254,6 +287,193 @@ TEST_F(OperatorsTest, JoinAggPipelineMatchesReference) {
           AggSpec::Sum(Col(val_col, ValueType::kDouble), "sum_val"),
           AggSpec::Count("n")});
   CheckAgainstReference(agg);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel edge cases: the flat hash table and the batched update loops.
+// ---------------------------------------------------------------------------
+
+TEST_F(OperatorsTest, AggregateMinMaxSeedFromFirstValue) {
+  // All-negative and all-large inputs: a zero seed would win max (resp.
+  // min) and be wrong.
+  ExprRef neg = Arith(ArithOp::kSub, Lit(-1.0), Col(2, ValueType::kDouble));
+  ExprRef big = Arith(ArithOp::kAdd, Col(2, ValueType::kDouble), Lit(5.0));
+  std::vector<AggSpec> aggs = {
+      AggSpec::Min(neg, "min_neg"), AggSpec::Max(neg, "max_neg"),
+      AggSpec::Min(big, "min_big"), AggSpec::Max(big, "max_big")};
+  CheckAgainstReference(std::make_shared<AggregateNode>(
+      FactScan(TruePredicate()), std::vector<std::size_t>{1}, aggs));
+
+  auto global = std::make_shared<AggregateNode>(
+      FactScan(TruePredicate()), std::vector<std::size_t>{}, aggs);
+  CheckAgainstReference(global);
+  PipelineRunner runner(db_.get());
+  auto got = runner.Run(PlanNodeRef(global));
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got.value().num_rows(), 1u);
+  EXPECT_EQ(got.value().Row(0).GetDouble(0), -1.0 - 2999 * 0.5);
+  EXPECT_EQ(got.value().Row(0).GetDouble(1), -1.0);
+  EXPECT_EQ(got.value().Row(0).GetDouble(2), 5.0);
+  EXPECT_EQ(got.value().Row(0).GetDouble(3), 5.0 + 2999 * 0.5);
+}
+
+TEST_F(OperatorsTest, AggregateWideStringGroupKey) {
+  PlanNodeRef wide = MakeKeyedTable("wide", 5000, [](int64_t i) {
+    return i % 7 - 3;
+  });
+  auto aggs = std::vector<AggSpec>{
+      AggSpec::Sum(Col(2, ValueType::kDouble), "s"),
+      AggSpec::Max(Col(2, ValueType::kDouble), "mx"), AggSpec::Count("n")};
+  // 25-byte key: the byte-arena path.
+  CheckAgainstReference(std::make_shared<AggregateNode>(
+      wide, std::vector<std::size_t>{1}, aggs));
+  // 33-byte key over two adjacent columns, and a 25+8 key out of order.
+  CheckAgainstReference(std::make_shared<AggregateNode>(
+      wide, std::vector<std::size_t>{0, 1}, aggs));
+  CheckAgainstReference(std::make_shared<AggregateNode>(
+      wide, std::vector<std::size_t>{1, 0}, aggs));
+  EXPECT_EQ(RowsOf(std::make_shared<AggregateNode>(
+                wide, std::vector<std::size_t>{1}, aggs)),
+            300u);
+}
+
+TEST_F(OperatorsTest, AggregateManyGroupsGrowsTable) {
+  constexpr int64_t kGroups = 120'000;
+  PlanNodeRef many = MakeKeyedTable("many", kGroups, [](int64_t i) {
+    return i * 7919 - 500'000'000;  // distinct, half of them negative
+  });
+  auto agg = std::make_shared<AggregateNode>(
+      many, std::vector<std::size_t>{0},
+      std::vector<AggSpec>{AggSpec::Sum(Col(2, ValueType::kDouble), "s"),
+                           AggSpec::Min(Col(2, ValueType::kDouble), "mn"),
+                           AggSpec::Count("n")});
+  CheckAgainstReference(agg);
+  EXPECT_EQ(RowsOf(agg), std::size_t(kGroups));
+}
+
+TEST_F(OperatorsTest, AggregateZeroInputRows) {
+  ExprRef none = Cmp(CmpOp::kLt, Col(0, ValueType::kInt64), Lit(int64_t{0}));
+  auto aggs = std::vector<AggSpec>{
+      AggSpec::Sum(Col(2, ValueType::kDouble), "s"),
+      AggSpec::Min(Col(2, ValueType::kDouble), "mn"), AggSpec::Count("n")};
+  for (auto group_by :
+       {std::vector<std::size_t>{1}, std::vector<std::size_t>{}}) {
+    auto agg =
+        std::make_shared<AggregateNode>(FactScan(none), group_by, aggs);
+    CheckAgainstReference(agg);
+    EXPECT_EQ(RowsOf(agg), 0u);
+  }
+}
+
+TEST_F(OperatorsTest, AggregateCountOnly) {
+  for (auto group_by :
+       {std::vector<std::size_t>{1}, std::vector<std::size_t>{}}) {
+    CheckAgainstReference(std::make_shared<AggregateNode>(
+        FactScan(TruePredicate()), group_by,
+        std::vector<AggSpec>{AggSpec::Count("n")}));
+  }
+}
+
+TEST_F(OperatorsTest, HashJoinDuplicateBuildKeysFanOut) {
+  // Build on fact.fk (60 rows per key), probe with the 50 dim rows.
+  auto join = std::make_shared<JoinNode>(FactScan(TruePredicate()),
+                                         DimScan(TruePredicate()), 1, 0);
+  CheckAgainstReference(join);
+  EXPECT_EQ(RowsOf(join), 3000u);
+}
+
+TEST_F(OperatorsTest, HashJoinProbeKeysMatchNothing) {
+  auto small_build =
+      DimScan(Cmp(CmpOp::kLt, Col(0, ValueType::kInt64), Lit(int64_t{5})));
+  auto none = std::make_shared<JoinNode>(
+      small_build,
+      FactScan(Cmp(CmpOp::kGe, Col(1, ValueType::kInt64), Lit(int64_t{5}))),
+      0, 1);
+  CheckAgainstReference(none);
+  EXPECT_EQ(RowsOf(none), 0u);
+  auto some = std::make_shared<JoinNode>(small_build,
+                                         FactScan(TruePredicate()), 0, 1);
+  CheckAgainstReference(some);
+  EXPECT_EQ(RowsOf(some), 300u);
+}
+
+TEST_F(OperatorsTest, HashJoinNegativeAndInt64MinKeys) {
+  const int64_t keys[] = {std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::min() + 1,
+                          -1,
+                          0,
+                          1,
+                          -7,
+                          std::numeric_limits<int64_t>::max()};
+  PlanNodeRef edge =
+      MakeKeyedTable("edge", 70, [&](int64_t i) { return keys[i % 7]; });
+  auto join = std::make_shared<JoinNode>(edge, edge, 0, 0);
+  CheckAgainstReference(join);
+  EXPECT_EQ(RowsOf(join), 7u * 10u * 10u);
+}
+
+TEST_F(OperatorsTest, HashJoinLargeBuildGrowsDirectory) {
+  PlanNodeRef big = MakeKeyedTable("big", 120'000, [](int64_t i) {
+    return i * 7919 - 500'000'000;
+  });
+  auto probe = std::make_shared<ScanNode>(
+      "big", big->output_schema(),
+      Cmp(CmpOp::kLt, Col(0, ValueType::kInt64), Lit(int64_t{0})),
+      std::vector<std::size_t>{0, 2});
+  auto join = std::make_shared<JoinNode>(big, probe, 0, 0);
+  CheckAgainstReference(join);
+  EXPECT_EQ(RowsOf(join), 63'140u);  // keys below zero: i <= 500e6 / 7919
+}
+
+/// Forwards to `inner`, counting calls to the batched entry points.
+class BatchSpy final : public Expr {
+ public:
+  explicit BatchSpy(ExprRef inner)
+      : Expr(inner->kind(), inner->output_type()), inner_(std::move(inner)) {}
+
+  double EvalDouble(TupleRef row) const override {
+    return inner_->EvalDouble(row);
+  }
+  int64_t EvalInt64(TupleRef row) const override {
+    return inner_->EvalInt64(row);
+  }
+  bool EvalBool(TupleRef row) const override { return inner_->EvalBool(row); }
+  std::string Canonical() const override { return inner_->Canonical(); }
+
+  void EvalDoubleBatch(const uint8_t* rows, std::size_t stride, std::size_t n,
+                       const Schema& schema, double* out) const override {
+    ++batch_calls;
+    inner_->EvalDoubleBatch(rows, stride, n, schema, out);
+  }
+  std::size_t EvalBoolBatch(const uint8_t* rows, std::size_t stride,
+                            const Schema& schema, uint32_t* sel,
+                            std::size_t n) const override {
+    ++batch_calls;
+    return inner_->EvalBoolBatch(rows, stride, schema, sel, n);
+  }
+
+  mutable std::atomic<int> batch_calls{0};
+
+ private:
+  ExprRef inner_;
+};
+
+TEST_F(OperatorsTest, ReferenceExecutorStaysPerRow) {
+  auto pred = std::make_shared<BatchSpy>(
+      Cmp(CmpOp::kLt, Col(0, ValueType::kInt64), Lit(int64_t{777})));
+  auto input = std::make_shared<BatchSpy>(Col(2, ValueType::kDouble));
+  auto agg = std::make_shared<AggregateNode>(
+      FactScan(pred), std::vector<std::size_t>{1},
+      std::vector<AggSpec>{AggSpec::Sum(input, "s")});
+
+  ReferenceExecutor ref(db_->catalog());
+  ASSERT_TRUE(ref.Execute(*agg).ok());
+  EXPECT_EQ(pred->batch_calls.load(), 0);
+  EXPECT_EQ(input->batch_calls.load(), 0);
+
+  CheckAgainstReference(agg);  // the operators take the batched paths
+  EXPECT_GT(pred->batch_calls.load(), 0);
+  EXPECT_GT(input->batch_calls.load(), 0);
 }
 
 TEST_F(OperatorsTest, CancelledScanAborts) {

@@ -8,6 +8,8 @@
 //               policy's reason to exist), adaptive-vs-best-fixed wall
 //   io:         worst drain wall under a throttled budget, stall micros
 //   spill:      bounded-memory proof (retained high-water vs budget)
+//   kernels:    operator kernel rows/s (scan+filter, join build/probe,
+//               hash aggregate on Q1 and on a high-cardinality key)
 //
 //   ./bench_trajectory <out.json> <bench1.json> [bench2.json ...]
 //
@@ -191,6 +193,18 @@ void FoldSpill(const std::vector<std::string>& rows, Headline* out) {
   }
 }
 
+void FoldKernels(const std::vector<std::string>& rows, Headline* out) {
+  for (const std::string& row : rows) {
+    for (const char* key :
+         {"scan_filter_rows_per_s", "join_build_rows_per_s",
+          "join_probe_rows_per_s", "agg_q1_rows_per_s",
+          "agg_high_card_rows_per_s"}) {
+      double v = 0;
+      if (NumField(row, key, &v)) (*out)[std::string("kernels_") + key] = v;
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -220,6 +234,8 @@ int main(int argc, char** argv) {
       FoldIo(rows, &headline);
     } else if (base == "BENCH_spill.json") {
       FoldSpill(rows, &headline);
+    } else if (base == "BENCH_kernels.json") {
+      FoldKernels(rows, &headline);
     } else {
       std::fprintf(stderr, "bench_trajectory: unrecognized %s (skipped)\n",
                    argv[i]);
