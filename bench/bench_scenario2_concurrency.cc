@@ -11,7 +11,12 @@
 //
 // Paper-expected shape: shared operators (GQP) win at high concurrency —
 // one fact-table pipeline serves everyone — while query-centric operators
-// saturate and degrade as clients contend for I/O and CPU.
+// saturate and degrade as clients contend for I/O and CPU. The bench ends
+// with that claim as a shape line ("gqp >= sp-pull at max clients");
+// the verdict is recorded, not gated. SHARING_BENCH_JSON=<path> also
+// emits the curve rows, the shape verdict and a final metrics row.
+
+#include <vector>
 
 #include "bench_common.h"
 
@@ -41,7 +46,17 @@ int main() {
   std::printf("%-8s %-15s %10s %12s %12s %10s\n", "clients", "mode", "qps",
               "mean(ms)", "admissions", "tscan-sat");
 
-  for (std::size_t clients : {1, 2, 4, 8, 16, 32, 64}) {
+  struct CurvePoint {
+    std::size_t clients;
+    EngineMode mode;
+    double qps;
+    double mean_ms;
+    int64_t admissions;
+    double tscan_sat;
+  };
+  std::vector<CurvePoint> curve;
+  const std::vector<std::size_t> client_counts = {1, 2, 4, 8, 16, 32, 64};
+  for (std::size_t clients : client_counts) {
     for (EngineMode mode : {EngineMode::kSpPull, EngineMode::kGqp}) {
       engine.SetMode(mode);
       auto before = db->metrics()->Snapshot();
@@ -69,20 +84,60 @@ int main() {
           });
 
       auto delta = MetricsRegistry::Delta(before, db->metrics()->Snapshot());
+      const CurvePoint& p = curve.emplace_back(CurvePoint{
+          clients, mode, report.throughput_qps, report.mean_response_ms,
+          delta[metrics::kCjoinQueriesAdmitted],
+          ScanSatelliteShare(scan_before,
+                             engine.qpipe()->scan_stage()->GetStats())});
       std::printf("%-8zu %-15s %10.2f %12.1f %12lld %10.2f\n", clients,
-                  std::string(EngineModeToString(mode)).c_str(),
-                  report.throughput_qps, report.mean_response_ms,
-                  static_cast<long long>(
-                      delta[metrics::kCjoinQueriesAdmitted]),
-                  ScanSatelliteShare(scan_before,
-                                     engine.qpipe()->scan_stage()->GetStats()));
+                  std::string(EngineModeToString(mode)).c_str(), p.qps,
+                  p.mean_ms, static_cast<long long>(p.admissions),
+                  p.tscan_sat);
     }
     std::printf("\n");
   }
 
+  // The claim, at the highest client count: the last two curve points.
+  const std::size_t max_clients = client_counts.back();
+  const double sp_pull_qps = curve[curve.size() - 2].qps;
+  const double gqp_qps = curve.back().qps;
+  const bool reproduced = gqp_qps >= sp_pull_qps;
   std::printf(
       "Expected shape (paper Fig. 5 / rule of thumb): the gqp line\n"
       "overtakes sp-pull as clients grow — the single shared pipeline\n"
       "amortizes the fact scan and joins across all concurrent queries.\n");
+  std::printf("gqp >= sp-pull at max clients: reproduced=%s "
+              "(%zu clients: gqp %.1f qps, sp-pull %.1f qps)\n",
+              reproduced ? "yes" : "no", max_clients, gqp_qps, sp_pull_qps);
+
+  if (const char* path = std::getenv("SHARING_BENCH_JSON")) {
+    std::FILE* json = std::fopen(path, "w");
+    if (json == nullptr) {
+      std::fprintf(stderr, "cannot open %s for JSON output\n", path);
+      return 1;
+    }
+    std::fprintf(json, "[\n");
+    bool first = true;
+    for (const CurvePoint& p : curve) {
+      std::fprintf(json,
+                   "%s  {\"part\": \"curve\", \"clients\": %zu, "
+                   "\"mode\": \"%s\", \"qps\": %.3f, \"mean_ms\": %.3f, "
+                   "\"admissions\": %lld, \"tscan_sat\": %.4f}",
+                   first ? "" : ",\n", p.clients,
+                   std::string(EngineModeToString(p.mode)).c_str(), p.qps,
+                   p.mean_ms, static_cast<long long>(p.admissions),
+                   p.tscan_sat);
+      first = false;
+    }
+    std::fprintf(json,
+                 ",\n  {\"part\": \"shape\", \"claim\": \"gqp >= sp-pull at "
+                 "max clients\", \"clients\": %zu, \"gqp_qps\": %.3f, "
+                 "\"sp_pull_qps\": %.3f, \"reproduced\": %s}",
+                 max_clients, gqp_qps, sp_pull_qps,
+                 reproduced ? "true" : "false");
+    JsonMetricsRow(json, &first, db->metrics()->Snapshot());
+    std::fprintf(json, "\n]\n");
+    std::fclose(json);
+  }
   return 0;
 }

@@ -78,13 +78,21 @@ echo "=== operator kernels (smoke) -> BENCH_kernels.json ==="
 SHARING_BENCH_SF=0.01 SHARING_BENCH_JSON=BENCH_kernels.json \
   ./build/bench_micro_scans
 
+echo "=== scenario II (smoke) -> BENCH_scenario2.json ==="
+# sp-pull vs gqp throughput over 1..64 clients on disk-resident SSB; ends
+# with the paper's shape claim "gqp >= sp-pull at max clients" as a
+# recorded reproduced=yes/no verdict (not gated).
+SHARING_BENCH_SECONDS=0.5 SHARING_BENCH_JSON=BENCH_scenario2.json \
+  ./build/bench_scenario2_concurrency
+
 echo "=== bench trajectory -> BENCH_trajectory.json ==="
 # Folds the sweeps above into the headline numbers a regression diff
 # tracks across PRs (16-reader aggregate, adaptive divergence, drain
-# wall, retained-vs-budget, admin-scrape ratio, kernel rows/s).
+# wall, retained-vs-budget, admin-scrape ratio, kernel rows/s, scenario
+# II 64-client qps and verdict).
 ./build/bench_trajectory BENCH_trajectory.json \
   BENCH_contention.json BENCH_adaptive.json BENCH_io.json BENCH_spill.json \
-  BENCH_kernels.json
+  BENCH_kernels.json BENCH_scenario2.json
 
 if [[ "${1:-}" != "--fast" ]]; then
   echo "=== tier-1 under AddressSanitizer ==="
@@ -105,7 +113,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake -B build-tsan -S . -DSHARING_TSAN=ON
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|CircularScanPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest'
+    -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|CircularScanPrefetchTest|CJoinPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest'
 fi
 
 echo "verify: OK"

@@ -4,14 +4,28 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/trace.h"
 #include "storage/tuple.h"
 
 namespace sharing {
 
+namespace {
+
+Table* FactTableOrDie(Catalog* catalog, const std::string& name) {
+  auto fact_or = catalog->GetTable(name);
+  SHARING_CHECK(fact_or.ok()) << fact_or.status().ToString();
+  return fact_or.value();
+}
+
+}  // namespace
+
 CJoinPipeline::CJoinPipeline(Catalog* catalog, const std::string& fact_table,
                              std::vector<CJoinLevelSpec> levels,
-                             CJoinOptions options, MetricsRegistry* metrics)
+                             CJoinOptions options, MetricsRegistry* metrics,
+                             std::shared_ptr<IoScheduler> scheduler,
+                             std::size_t prefetch_depth)
     : catalog_(catalog),
+      fact_(FactTableOrDie(catalog, fact_table)),
       options_(options),
       metrics_(metrics),
       fact_tuples_in_(metrics->GetCounter(metrics::kCjoinFactTuplesIn)),
@@ -21,11 +35,8 @@ CJoinPipeline::CJoinPipeline(Catalog* catalog, const std::string& fact_table,
       queries_completed_(metrics->GetCounter(metrics::kCjoinQueriesCompleted)),
       bitmap_and_ops_(metrics->GetCounter(metrics::kCjoinBitmapAndOps)),
       admission_epochs_(metrics->GetCounter(metrics::kCjoinAdmissionEpochs)),
-      admission_micros_(metrics->GetCounter(metrics::kCjoinAdmissionMicros)) {
-  auto fact_or = catalog->GetTable(fact_table);
-  SHARING_CHECK(fact_or.ok()) << fact_or.status().ToString();
-  fact_ = fact_or.value();
-
+      admission_micros_(metrics->GetCounter(metrics::kCjoinAdmissionMicros)),
+      readahead_(fact_, std::move(scheduler), prefetch_depth) {
   bitmap_words_ = (options_.max_queries + 63) / 64;
   slots_.resize(options_.max_queries);
   free_bits_.reserve(options_.max_queries);
@@ -198,6 +209,10 @@ void CJoinPipeline::AdmitPending() {
 
   Stopwatch timer;
   {
+    // Covers the wait for the exclusive epoch lock and the dimension
+    // scans under it: the time no fact page can be processed.
+    TraceSpan span("cjoin", "cjoin.admit");
+    span.AddArg("queries", static_cast<int64_t>(batch.size()));
     std::unique_lock<std::shared_mutex> epoch(epoch_mutex_);
     admission_epochs_->Increment();
     for (auto& q : batch) {
@@ -271,16 +286,10 @@ void CJoinPipeline::DriverLoop() {
     AdmitPending();
     if (dispatching_.empty()) continue;
 
-    const std::size_t n_pages = fact_->num_pages();
-
-    uint64_t position;
-    {
-      std::lock_guard<std::mutex> lock(driver_mutex_);
-      position = cursor_;
-      cursor_ = (cursor_ + 1) % n_pages;
-    }
-
-    auto guard_or = fact_->buffer_pool()->FetchPage(fact_->page_id(position));
+    const uint64_t seq = fact_seq_++;
+    readahead_.Ahead(seq);
+    auto guard_or = fact_->buffer_pool()->FetchPage(
+        fact_->page_id(seq % fact_->num_pages()));
     if (!guard_or.ok()) {
       SHARING_LOG(Error) << "CJOIN fact scan failed: "
                          << guard_or.status().ToString();
@@ -346,6 +355,9 @@ void CJoinPipeline::ProcessPage(std::shared_ptr<PageTask> task) {
   const Schema& fact_schema = fact_->schema();
   const uint8_t* frame = task->guard.data();
   const uint32_t n_rows = page_layout::RowCount(frame);
+  TraceSpan span("cjoin", "cjoin.page");
+  span.AddArg("rows", n_rows);
+  span.AddArg("queries", static_cast<int64_t>(task->queries.size()));
 
   std::vector<uint64_t> bits(bitmap_words_);
   std::vector<const DimensionHashTable::Entry*> matched(levels_.size(),

@@ -17,7 +17,16 @@
 // Admissions are applied by the driver between page dispatches under an
 // exclusive epoch lock; queries arriving together are admitted in one
 // epoch, which is what makes client-side batching amortize admission cost
-// (Scenario IV / Ablation D).
+// (Scenario IV / Ablation D). While the exclusive lock is held no page is
+// processed, so an admission stalls the pipeline for as long as its
+// dimension scans take.
+//
+// Given an IoScheduler, the driver reads the fact table ahead through the
+// same `ScanReadahead` helper QPipe's circular scans use
+// (storage/circular_scan.h): before each fact FetchPage it queues
+// kScanPrefetch jobs for the next `prefetch_depth` positions, so the one
+// thread that advances the cycle rarely pays a buffer-pool miss itself.
+// Without a scheduler every miss is paid inline, as before.
 
 #pragma once
 
@@ -38,7 +47,9 @@
 #include "common/thread_pool.h"
 #include "exec/exec_context.h"
 #include "exec/page_stream.h"
+#include "io/io_scheduler.h"
 #include "storage/buffer_pool.h"
+#include "storage/circular_scan.h"
 #include "storage/table.h"
 
 namespace sharing {
@@ -68,9 +79,13 @@ class CJoinPipeline {
  public:
   /// The pipeline is built once for a star schema: the fact table plus one
   /// level per dimension (queries may use any subset of the levels).
+  /// `scheduler` (optional): fact-scan readahead of the next
+  /// `prefetch_depth` positions at kScanPrefetch priority; null = none.
   CJoinPipeline(Catalog* catalog, const std::string& fact_table,
                 std::vector<CJoinLevelSpec> levels, CJoinOptions options,
-                MetricsRegistry* metrics = &MetricsRegistry::Global());
+                MetricsRegistry* metrics = &MetricsRegistry::Global(),
+                std::shared_ptr<IoScheduler> scheduler = nullptr,
+                std::size_t prefetch_depth = 4);
   ~CJoinPipeline();
 
   SHARING_DISALLOW_COPY_AND_MOVE(CJoinPipeline);
@@ -183,12 +198,17 @@ class CJoinPipeline {
   std::mutex driver_mutex_;
   std::condition_variable driver_cv_;
   std::deque<ActiveQueryRef> pending_;
-  uint64_t cursor_ = 0;
   bool shutdown_ = false;
 
   /// Queries still owed page dispatches. Owned by the driver thread
   /// exclusively (no locking needed).
   std::vector<ActiveQueryRef> dispatching_;
+
+  /// Driver thread only: the absolute fact read sequence (position =
+  /// fact_seq_ % num_pages) and its readahead, which is destroyed after
+  /// the driver is joined.
+  uint64_t fact_seq_ = 0;
+  ScanReadahead readahead_;
 
   // In-flight page window.
   std::mutex inflight_mutex_;

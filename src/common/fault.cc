@@ -183,4 +183,10 @@ uint64_t FaultRegistry::TotalFires() const {
   return fires;
 }
 
+uint64_t FaultRegistry::Fires(const char* point) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = points_.find(point);
+  return it == points_.end() ? 0 : it->second.fires;
+}
+
 }  // namespace sharing

@@ -99,6 +99,9 @@ class FaultRegistry {
   /// Total fires since the last Arm (test convenience).
   uint64_t TotalFires() const;
 
+  /// Fires of one point since the last Arm (0 when it is not armed).
+  uint64_t Fires(const char* point) const;
+
  private:
   FaultRegistry() = default;
 

@@ -59,9 +59,12 @@ SharingEngine::SharingEngine(Database* db, EngineConfig config)
                                          db_->metrics());
 
   if (!config_.fact_table.empty()) {
+    // The fact scan reads ahead through the engine's I/O scheduler with
+    // the same depth as QPipe's circular scans (none when io_threads=0).
     pipeline_ = std::make_unique<CJoinPipeline>(
         db_->catalog(), config_.fact_table, config_.cjoin_levels,
-        config_.cjoin, db_->metrics());
+        config_.cjoin, db_->metrics(), qpipe_->io_scheduler(),
+        config_.scan_prefetch_depth);
     Stage::Options sopts;
     sopts.initial_workers = config_.stage_workers;
     sopts.fifo_capacity = config_.fifo_capacity;

@@ -80,7 +80,8 @@ struct EngineConfig {
   /// Async I/O scheduler (see QPipeOptions for full semantics):
   /// worker threads (0 = no scheduler, fully synchronous I/O),
   /// per-priority-class MiB/s budget (0 = unthrottled), the in-flight
-  /// spill-write window, and circular-scan readahead depth.
+  /// spill-write window, and circular-scan readahead depth (QPipe scans
+  /// and the CJOIN fact scan alike).
   std::size_t io_threads = 2;
   std::size_t io_budget_mib = 0;
   std::size_t spill_write_window = 16;

@@ -106,7 +106,8 @@ struct QPipeOptions {
   std::size_t spill_write_window = 16;
 
   /// Pages of circular-scan readahead issued through the scheduler's
-  /// kScanPrefetch class; 0 disables scan prefetch.
+  /// kScanPrefetch class (QPipe scans and, via SharingEngine, the CJOIN
+  /// fact scan); 0 disables scan prefetch.
   std::size_t scan_prefetch_depth = 4;
 
   /// Query-lifecycle tracing (see common/trace.h, docs/TRACING.md).

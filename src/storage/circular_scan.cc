@@ -7,6 +7,58 @@
 namespace sharing {
 
 // ---------------------------------------------------------------------------
+// ScanReadahead
+// ---------------------------------------------------------------------------
+
+ScanReadahead::ScanReadahead(const Table* table,
+                             std::shared_ptr<IoScheduler> scheduler,
+                             std::size_t depth)
+    : table_(table), scheduler_(std::move(scheduler)), depth_(depth) {}
+
+ScanReadahead::~ScanReadahead() {
+  for (const auto& ticket : tickets_) ticket->TryCancel();
+}
+
+void ScanReadahead::Ahead(uint64_t seq) {
+  if (scheduler_ == nullptr || depth_ == 0) return;
+  BufferPool* pool = table_->buffer_pool();
+  const uint64_t n_pages = table_->num_pages();
+  // Drop completed tickets so the deque tracks only live readahead.
+  while (!tickets_.empty() && tickets_.front()->done()) {
+    tickets_.pop_front();
+  }
+  const uint64_t target = seq + depth_;
+  for (uint64_t s = std::max(seq + 1, prefetched_until_ + 1); s <= target;
+       ++s) {
+    // Readahead that cannot keep up is readahead that arrives too late
+    // to help: once `depth_` jobs are outstanding, stop issuing instead
+    // of backlogging the scheduler queue without bound. Skipped
+    // positions are simply future cache misses; the scan moves on and
+    // later calls target only what is still ahead of it.
+    if (tickets_.size() >= depth_) break;
+    const PageId pid = table_->page_id(s % n_pages);
+    // A page that is already resident would be a free hit — don't spend
+    // scheduler budget (or inflate io.reads_issued) re-fetching it. The
+    // probe is advisory; a page evicted right after just misses later.
+    if (pool->IsResident(pid)) {
+      prefetched_until_ = std::max(prefetched_until_, s);
+      continue;
+    }
+    // The job captures only the database-owned pool and the page id, so
+    // it stays safe even if the scan dies before it runs. Fetch + drop
+    // leaves the page resident for the scan's upcoming FetchPage.
+    IoTicketRef ticket = scheduler_->Submit(
+        IoPriority::kScanPrefetch, kPageBytes, [pool, pid] {
+          auto guard_or = pool->FetchPage(pid);
+          return guard_or.ok() ? Status::OK() : guard_or.status();
+        });
+    if (ticket == nullptr) return;  // scheduler shut down
+    tickets_.push_back(std::move(ticket));
+    prefetched_until_ = std::max(prefetched_until_, s);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Consumer
 // ---------------------------------------------------------------------------
 
@@ -71,8 +123,7 @@ CircularScanGroup::CircularScanGroup(const Table* table,
       metrics_(metrics),
       pages_read_(metrics->GetCounter(metrics::kScanPagesRead)),
       shared_attach_(metrics->GetCounter(metrics::kScanSharedAttach)),
-      scheduler_(std::move(scheduler)),
-      prefetch_depth_(prefetch_depth) {}
+      readahead_(table, std::move(scheduler), prefetch_depth) {}
 
 CircularScanGroup::~CircularScanGroup() {
   {
@@ -85,11 +136,9 @@ CircularScanGroup::~CircularScanGroup() {
     for (auto& c : consumers_) c->cv.notify_all();
   }
   wake_producer_.notify_all();
+  // After the join nobody issues new readahead; readahead_'s destructor
+  // then cancels whatever is still queued.
   if (producer_.joinable()) producer_.join();
-  // After the join nobody issues new readahead; cancel whatever is still
-  // queued (a job that already started finishes harmlessly — it touches
-  // only the database-owned buffer pool).
-  for (const auto& ticket : prefetch_tickets_) ticket->TryCancel();
 }
 
 std::unique_ptr<CircularScanGroup::Ticket> CircularScanGroup::Attach() {
@@ -118,51 +167,12 @@ std::size_t CircularScanGroup::ActiveConsumers() const {
   return consumers_.size();
 }
 
-void CircularScanGroup::PrefetchAhead(uint64_t seq, uint64_t n_pages) {
-  if (scheduler_ == nullptr || prefetch_depth_ == 0) return;
-  BufferPool* pool = table_->buffer_pool();
-  // Drop completed tickets so the deque tracks only live readahead.
-  while (!prefetch_tickets_.empty() && prefetch_tickets_.front()->done()) {
-    prefetch_tickets_.pop_front();
-  }
-  const uint64_t target = seq + prefetch_depth_;
-  for (uint64_t s = std::max(seq + 1, prefetched_until_ + 1); s <= target;
-       ++s) {
-    // Readahead that cannot keep up is readahead that arrives too late
-    // to help: once `prefetch_depth_` jobs are outstanding, stop issuing
-    // instead of backlogging the scheduler queue without bound. Skipped
-    // positions are simply future cache misses; the producer moves on
-    // and later calls target only what is still ahead of it.
-    if (prefetch_tickets_.size() >= prefetch_depth_) break;
-    const PageId pid = table_->page_id(s % n_pages);
-    // A page that is already resident would be a free hit — don't spend
-    // scheduler budget (or inflate io.reads_issued) re-fetching it. The
-    // probe is advisory; a page evicted right after just misses later.
-    if (pool->IsResident(pid)) {
-      prefetched_until_ = std::max(prefetched_until_, s);
-      continue;
-    }
-    // The job captures only the database-owned pool and the page id, so
-    // it stays safe even if this group dies before it runs. Fetch + drop
-    // leaves the page resident for the producer's upcoming FetchPage.
-    IoTicketRef ticket = scheduler_->Submit(
-        IoPriority::kScanPrefetch, kPageBytes, [pool, pid] {
-          auto guard_or = pool->FetchPage(pid);
-          return guard_or.ok() ? Status::OK() : guard_or.status();
-        });
-    if (ticket == nullptr) return;  // scheduler shut down
-    prefetch_tickets_.push_back(std::move(ticket));
-    prefetched_until_ = std::max(prefetched_until_, s);
-  }
-}
-
 void CircularScanGroup::ProducerLoop() {
   BufferPool* pool = table_->buffer_pool();
   const std::size_t n_pages = table_->num_pages();
   for (;;) {
     // Snapshot the consumers that still want pages; prune finished ones.
     std::vector<std::shared_ptr<Ticket::Consumer>> active;
-    uint64_t position;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       consumers_.erase(
@@ -176,11 +186,11 @@ void CircularScanGroup::ProducerLoop() {
                           [&] { return shutdown_ || !consumers_.empty(); });
       if (shutdown_) return;
       active = consumers_;
-      position = cursor_;
-      cursor_ = (cursor_ + 1) % n_pages;
     }
 
-    PrefetchAhead(read_seq_++, n_pages);
+    const uint64_t seq = read_seq_++;
+    const uint64_t position = seq % n_pages;
+    readahead_.Ahead(seq);
     auto guard_or = pool->FetchPage(table_->page_id(position));
     if (!guard_or.ok()) {
       SHARING_LOG(Error) << "circular scan fetch failed: "

@@ -19,6 +19,11 @@
 // disk-latency model the page it needs next is usually already resident
 // when it gets there. Prefetch is best-effort: a failed or cancelled
 // readahead is just a future buffer-pool miss.
+//
+// The readahead itself is `ScanReadahead`, a small helper shared by both
+// circular scans of the engine: this group's producer and the CJOIN
+// pipeline's fact-table driver (src/cjoin/pipeline.h). Each calls
+// Ahead() with its read sequence just before it fetches a page.
 
 #pragma once
 
@@ -51,6 +56,37 @@ struct ScanPage {
 };
 
 using ScanPageRef = std::shared_ptr<ScanPage>;
+
+/// Bounded scheduler readahead for one circular scan of `table`. Owned
+/// and driven by the single thread that advances the scan; not
+/// thread-safe. With no scheduler or depth 0, Ahead() is a no-op and the
+/// scan pays every miss inline.
+class ScanReadahead {
+ public:
+  ScanReadahead(const Table* table, std::shared_ptr<IoScheduler> scheduler,
+                std::size_t depth);
+  /// Cancels readahead still queued. Jobs capture only the buffer pool
+  /// and a page id, so one already running finishes harmlessly.
+  ~ScanReadahead();
+
+  SHARING_DISALLOW_COPY_AND_MOVE(ScanReadahead);
+
+  /// Issues kScanPrefetch jobs for the positions following absolute read
+  /// sequence `seq` (the caller's monotone page counter; position =
+  /// seq % num_pages), skipping pages already resident and never
+  /// holding more than `depth` jobs outstanding.
+  void Ahead(uint64_t seq);
+
+ private:
+  const Table* table_;
+  std::shared_ptr<IoScheduler> scheduler_;
+  std::size_t depth_;
+  // The highest sequence already prefetched, and the outstanding tickets
+  // (bounded by depth_; cancelled at destruction so no queued readahead
+  // outlives its scan).
+  uint64_t prefetched_until_ = 0;
+  std::deque<IoTicketRef> tickets_;
+};
 
 class CircularScanGroup {
  public:
@@ -124,33 +160,24 @@ class CircularScanGroup {
 
   void ProducerLoop();
 
-  /// Issues scheduler readahead for the positions following absolute
-  /// sequence number `seq` (producer thread only).
-  void PrefetchAhead(uint64_t seq, uint64_t n_pages);
-
   const Table* table_;
   std::size_t queue_depth_;
   MetricsRegistry* metrics_;
   Counter* pages_read_;
   Counter* shared_attach_;
-  std::shared_ptr<IoScheduler> scheduler_;
-  std::size_t prefetch_depth_;
 
   mutable std::mutex mutex_;
   std::condition_variable wake_producer_;
   std::vector<std::shared_ptr<Ticket::Consumer>> consumers_;
-  uint64_t cursor_ = 0;  // next logical page index to read
   bool shutdown_ = false;
   bool producer_started_ = false;
   std::thread producer_;
 
-  // Prefetch state (producer thread only, no lock needed): absolute
-  // read sequence, the highest sequence already prefetched, and the
-  // outstanding tickets (bounded by prefetch_depth_; cancelled at
-  // destruction so no readahead outlives the group).
+  // Producer thread only, no lock needed: the absolute read sequence
+  // (the next position to read is read_seq_ % num_pages) and its
+  // readahead (destroyed after the producer is joined).
   uint64_t read_seq_ = 0;
-  uint64_t prefetched_until_ = 0;
-  std::deque<IoTicketRef> prefetch_tickets_;
+  ScanReadahead readahead_;
 };
 
 }  // namespace sharing

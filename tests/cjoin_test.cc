@@ -1,10 +1,14 @@
 // Tests for the CJOIN module: star-plan recognition, the shared dimension
 // hash tables, pipeline correctness against the reference executor,
-// admission/departure bookkeeping, and GQP+SP integration.
+// admission/departure bookkeeping, fact-scan readahead, and GQP+SP
+// integration.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <latch>
 #include <thread>
 
 #include "cjoin/cjoin_stage.h"
@@ -12,6 +16,7 @@
 #include "cjoin/star_query.h"
 #include "core/sharing_engine.h"
 #include "exec/reference_executor.h"
+#include "io/io_scheduler.h"
 #include "qpipe/fifo_buffer.h"
 #include "test_util.h"
 
@@ -369,6 +374,107 @@ TEST_F(CJoinTest, MetricsAccountForDroppedTuples) {
   EXPECT_GT(delta[metrics::kCjoinBitmapAndOps], 0);
   EXPECT_EQ(delta[metrics::kCjoinQueriesAdmitted], 1);
   EXPECT_EQ(delta[metrics::kCjoinQueriesCompleted], 1);
+}
+
+// ---------------------------------------------------------------------------
+// Fact-scan readahead through the I/O scheduler
+// ---------------------------------------------------------------------------
+
+/// The star schema on a disk-resident database: every buffer-pool miss
+/// pays the read-latency model, and each test starts from a cold cache.
+class CJoinPrefetchTest : public CJoinTest {
+ protected:
+  void SetUp() override {
+    CJoinTest::SetUp();
+    db_->SetDiskResident(/*read_latency_micros=*/50, /*bandwidth_mib=*/1500);
+  }
+
+  std::shared_ptr<IoScheduler> MakeScheduler() {
+    IoScheduler::Options options;
+    options.threads = 2;
+    options.metrics = db_->metrics();
+    return std::make_shared<IoScheduler>(options);
+  }
+};
+
+TEST_F(CJoinPrefetchTest, ConcurrentStarsFromColdCacheMatchReference) {
+  constexpr int kQueries = 10;
+  std::vector<PlanNodeRef> plans;
+  std::vector<ResultSet> wants;
+  for (int q = 0; q < kQueries; ++q) {
+    plans.push_back(q % 3 == 0 ? OneDimPlan(q % 4) : TwoDimPlan(500 + 350 * q));
+    wants.push_back(Reference(plans.back()));
+  }
+  // The reference runs warmed the pool; readahead skips resident pages.
+  ASSERT_TRUE(db_->buffer_pool()->EvictAll().ok());
+
+  auto scheduler = MakeScheduler();
+  CJoinOptions options;
+  options.max_queries = 16;
+  CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), options,
+                         db_->metrics(), scheduler, /*prefetch_depth=*/4);
+
+  std::vector<StatusOr<ResultSet>> gots(kQueries, Status::Aborted("not run"));
+  std::vector<std::thread> threads;
+  for (int q = 0; q < kQueries; ++q) {
+    threads.emplace_back(
+        [&, q] { gots[q] = RunThroughCJoin(&pipeline, plans[q]); });
+  }
+  for (auto& t : threads) t.join();
+  for (int q = 0; q < kQueries; ++q) {
+    ASSERT_TRUE(gots[q].ok()) << gots[q].status().ToString();
+    ExpectResultsEquivalent(wants[q], gots[q].value(),
+                            "query " + std::to_string(q));
+  }
+  EXPECT_GT(db_->metrics()->GetCounter(metrics::kIoReadsIssued)->Get(), 0)
+      << "the fact driver must issue scheduler readahead";
+}
+
+TEST_F(CJoinPrefetchTest, TeardownCancelsQueuedReadahead) {
+  auto plan = TwoDimPlan();
+  const ResultSet want = Reference(plan);
+  ASSERT_TRUE(db_->buffer_pool()->EvictAll().ok());
+
+  // Park both I/O workers so every readahead the driver issues stays
+  // queued: the query then pays each miss inline and must still finish.
+  auto scheduler = MakeScheduler();
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::latch parked(2);
+  std::vector<IoTicketRef> blockers;
+  for (int i = 0; i < 2; ++i) {
+    blockers.push_back(
+        scheduler->Submit(IoPriority::kSpillWrite, 0, [gate, &parked] {
+          parked.count_down();
+          gate.wait();
+          return Status::OK();
+        }));
+  }
+  parked.wait();
+
+  {
+    CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), CJoinOptions{},
+                           db_->metrics(), scheduler, /*prefetch_depth=*/4);
+    auto got = RunThroughCJoin(&pipeline, plan);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectResultsEquivalent(want, got.value());
+    EXPECT_EQ(scheduler->QueueDepth(IoPriority::kScanPrefetch), 4u)
+        << "readahead is bounded by the depth while nothing completes";
+  }  // destroyed with its readahead still queued
+  const BufferPoolStats before_release = db_->buffer_pool()->GetStats();
+
+  release.set_value();
+  for (auto& blocker : blockers) ASSERT_TRUE(blocker->Wait().ok());
+  for (int spin = 0;
+       spin < 2000 && scheduler->QueueDepth(IoPriority::kScanPrefetch) > 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(scheduler->QueueDepth(IoPriority::kScanPrefetch), 0u);
+  const BufferPoolStats after = db_->buffer_pool()->GetStats();
+  EXPECT_EQ(after.hits + after.misses,
+            before_release.hits + before_release.misses)
+      << "cancelled readahead must never run";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for common/trace: ring wraparound, concurrent writers vs a
 // live exporter, the disabled path's zero-allocation/near-zero-cost
-// contract, and Chrome trace-event JSON well-formedness.
+// contract, Chrome trace-event JSON well-formedness, and the CJOIN
+// pipeline's spans.
 
 #include "common/trace.h"
 
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "core/sharing_engine.h"
+#include "workload/ssb.h"
 
 // Process-wide allocation counter (this test binary only): proves the
 // disabled trace path allocates nothing. Counts every global operator
@@ -214,6 +217,31 @@ TEST_F(TraceTest, InternStringDedupes) {
   EXPECT_STREQ(a, "run_packet:tscan");
   const char* c = Trace::InternString("run_packet:join");
   EXPECT_NE(a, c);
+}
+
+TEST_F(TraceTest, GqpStarRecordsCjoinAdmitAndPageSpans) {
+  DatabaseOptions db_options;
+  Database db(db_options);
+  ASSERT_TRUE(ssb::GenerateAll(db.catalog(), db.buffer_pool(), 0.001).ok());
+  EngineConfig config;
+  config.mode = EngineMode::kGqp;
+  config.fact_table = "lineorder";
+  config.cjoin_levels = ssb::PipelineLevels();
+  SharingEngine engine(&db, config);
+
+  Trace::Enable(/*buffer_events=*/4096);
+  auto result = engine.Execute(ssb::ParameterizedStarPlan({}));
+  Trace::Disable();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const std::string json = Trace::ExportChromeJson();
+  ExpectBalancedJson(json);
+  EXPECT_NE(json.find("\"name\":\"cjoin.admit\",\"cat\":\"cjoin\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"cjoin.page\",\"cat\":\"cjoin\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"rows\":"), std::string::npos);
+  EXPECT_NE(json.find("\"queries\":1}"), std::string::npos);
 }
 
 TEST_F(TraceTest, DisabledPathAllocatesNothing) {

@@ -10,6 +10,8 @@
 //   spill:      bounded-memory proof (retained high-water vs budget)
 //   kernels:    operator kernel rows/s (scan+filter, join build/probe,
 //               hash aggregate on Q1 and on a high-cardinality key)
+//   scenario2:  64-client qps of sp-pull and gqp, and whether gqp >=
+//               sp-pull there (the paper's Scenario II claim; 1 = yes)
 //
 //   ./bench_trajectory <out.json> <bench1.json> [bench2.json ...]
 //
@@ -205,6 +207,24 @@ void FoldKernels(const std::vector<std::string>& rows, Headline* out) {
   }
 }
 
+void FoldScenario2(const std::vector<std::string>& rows, Headline* out) {
+  for (const std::string& row : rows) {
+    std::string part, mode;
+    StrField(row, "part", &part);
+    double clients = 0, qps = 0;
+    if (part == "curve" && NumField(row, "clients", &clients) &&
+        clients == 64 && StrField(row, "mode", &mode) &&
+        NumField(row, "qps", &qps)) {
+      (*out)[mode == "gqp" ? "scenario2_c64_gqp_qps"
+                           : "scenario2_c64_sp_pull_qps"] = qps;
+    }
+    if (part == "shape") {
+      (*out)["scenario2_gqp_ge_sp_pull"] =
+          row.find("\"reproduced\": true") != std::string::npos ? 1 : 0;
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -236,6 +256,8 @@ int main(int argc, char** argv) {
       FoldSpill(rows, &headline);
     } else if (base == "BENCH_kernels.json") {
       FoldKernels(rows, &headline);
+    } else if (base == "BENCH_scenario2.json") {
+      FoldScenario2(rows, &headline);
     } else {
       std::fprintf(stderr, "bench_trajectory: unrecognized %s (skipped)\n",
                    argv[i]);

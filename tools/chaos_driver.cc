@@ -17,8 +17,14 @@
 //
 // The host-kill scenario additionally requires sharing.satellite_rerun
 // to rise: satellites must actually recover from dead hosts, not merely
-// error out. Exit code 0 = all invariants held. ci/check_chaos.sh runs
-// this under ASan with the fixed seed 42 plus one logged random seed.
+// error out. The gqp scenario runs the star joins through the CJOIN
+// pipeline, whose fact scan reads ahead through the I/O scheduler; it
+// requires that injected dispatch failures (which only readahead jobs
+// meet there) never reach a query — a failed readahead is just a demand
+// miss — and that an injected read fault on a fact page does end the
+// queries still owed that page. Exit code 0 = all invariants held.
+// ci/check_chaos.sh runs this under ASan with the fixed seed 42 plus one
+// logged random seed.
 
 #include <atomic>
 #include <chrono>
@@ -26,12 +32,12 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/fault.h"
-#include "core/database.h"
+#include "core/sharing_engine.h"
 #include "exec/reference_executor.h"
-#include "qpipe/engine.h"
 #include "workload/ssb.h"
 
 namespace sharing {
@@ -59,9 +65,12 @@ struct Scenario {
   std::size_t timeout_ms = 10000;
   std::size_t io_retry_limit = 2;
   std::size_t sp_memory_budget = 0;
-  SpMode sp_mode = SpMode::kPull;
+  EngineMode mode = EngineMode::kSpPull;
   bool expect_reruns = false;   // sharing.satellite_rerun must rise
   bool expect_deadlines = false;  // at least one kDeadlineExceeded
+  /// CJOIN fact-scan faults: dispatch failures fire but never reach a
+  /// query, and some query ends with a fact page's injected read fault.
+  bool expect_fact_faults = false;
 };
 
 struct Tally {
@@ -69,8 +78,20 @@ struct Tally {
   std::atomic<int> deadline{0};
   std::atomic<int> aborted{0};
   std::atomic<int> injected{0};
+  std::atomic<int> fact_faults{0};  // injected read faults on fact pages
   std::atomic<int> violations{0};
 };
+
+/// True when `st` is the disk layer's injected read fault on one of
+/// `pages` ("injected read fault for page <id>").
+bool IsReadFaultOn(const Status& st, const std::unordered_set<PageId>& pages) {
+  static const std::string kPrefix = "injected read fault for page ";
+  const std::string text = st.ToString();
+  const std::size_t pos = text.find(kPrefix);
+  if (pos == std::string::npos) return false;
+  return pages.count(std::strtoull(text.c_str() + pos + kPrefix.size(),
+                                   nullptr, 10)) > 0;
+}
 
 bool StatusAcceptable(const Status& st) {
   if (st.ok()) return true;
@@ -93,25 +114,65 @@ void RecordOutcome(const Status& st, Tally* tally) {
 
 int RunScenario(Database* db, const Scenario& scenario, uint64_t seed,
                 const std::vector<QuerySpec>& queries,
-                const std::vector<std::vector<std::string>>& reference) {
+                const std::vector<std::vector<std::string>>& reference,
+                const std::unordered_set<PageId>& fact_pages) {
   std::printf("--- scenario %-10s spec=\"%s\" timeout=%zums\n",
               scenario.name.c_str(), scenario.fault_spec.c_str(),
               scenario.timeout_ms);
 
-  QPipeOptions options = QPipeOptions::AllSp(scenario.sp_mode);
-  options.query_timeout_ms = scenario.timeout_ms;
-  options.io_retry_limit = scenario.io_retry_limit;
-  options.sp_memory_budget = scenario.sp_memory_budget;
+  EngineConfig config;
+  config.mode = scenario.mode;
+  config.query_timeout_ms = scenario.timeout_ms;
+  config.io_retry_limit = scenario.io_retry_limit;
+  config.sp_memory_budget = scenario.sp_memory_budget;
   if (!scenario.fault_spec.empty()) {
-    options.fault_spec = "seed=" + std::to_string(seed);
-    options.fault_spec += "," + scenario.fault_spec;
+    config.fault_spec = "seed=" + std::to_string(seed);
+    config.fault_spec += "," + scenario.fault_spec;
+  }
+  if (scenario.mode == EngineMode::kGqp) {
+    config.fact_table = "lineorder";
+    config.cjoin_levels = ssb::PipelineLevels();
   }
   const int64_t reruns_before =
       db->metrics()->GetCounter(metrics::kSharingSatelliteRerun)->Get();
 
   Tally tally;
+  // Records one query's outcome and flags any invariant it breaks.
+  auto check = [&](const char* label,
+                   const StatusOr<ResultSet>& result,
+                   const std::vector<std::string>& want) {
+    const Status& st = result.status();
+    RecordOutcome(st, &tally);
+    if (IsReadFaultOn(st, fact_pages)) tally.fact_faults.fetch_add(1);
+    if (!StatusAcceptable(st)) {
+      std::printf("VIOLATION: %s unacceptable status: %s\n", label,
+                  st.ToString().c_str());
+      tally.violations.fetch_add(1);
+    } else if (scenario.expect_fact_faults &&
+               st.ToString().find("io dispatch failure") !=
+                   std::string::npos) {
+      std::printf("VIOLATION: %s failed with a readahead fault: %s\n",
+                  label, st.ToString().c_str());
+      tally.violations.fetch_add(1);
+    } else if (result.ok() && result.value().CanonicalRows() != want) {
+      std::printf("VIOLATION: %s OK but rows differ from the unfaulted "
+                  "reference\n",
+                  label);
+      tally.violations.fetch_add(1);
+    }
+  };
+  auto demonstrated = [&] {
+    if (scenario.expect_reruns &&
+        db->metrics()->GetCounter(metrics::kSharingSatelliteRerun)->Get() ==
+            reruns_before) {
+      return false;
+    }
+    return !scenario.expect_fact_faults ||
+           (tally.fact_faults.load() > 0 && tally.ok.load() > 0);
+  };
+  uint64_t dispatch_fires = 0;
   {
-    QPipeEngine engine(db->catalog(), options, db->metrics());
+    SharingEngine engine(db, config);
 
     // Pass 1: every query once, from concurrent threads (distinct mixes).
     {
@@ -124,20 +185,10 @@ int RunScenario(Database* db, const Scenario& scenario, uint64_t seed,
               tally.violations.fetch_add(1);
               continue;
             }
-            auto result = engine.Execute(plan.value());
-            RecordOutcome(result.status(), &tally);
-            if (!StatusAcceptable(result.status())) {
-              std::printf("VIOLATION: Q%d.%d unacceptable status: %s\n",
-                          queries[q].flight, queries[q].variant,
-                          result.status().ToString().c_str());
-              tally.violations.fetch_add(1);
-            } else if (result.ok() &&
-                       result.value().CanonicalRows() != reference[q]) {
-              std::printf("VIOLATION: Q%d.%d OK but rows differ from the "
-                          "unfaulted reference\n",
-                          queries[q].flight, queries[q].variant);
-              tally.violations.fetch_add(1);
-            }
+            char label[32];
+            std::snprintf(label, sizeof(label), "Q%d.%d", queries[q].flight,
+                          queries[q].variant);
+            check(label, engine.Execute(plan.value()), reference[q]);
           }
         });
       }
@@ -145,11 +196,13 @@ int RunScenario(Database* db, const Scenario& scenario, uint64_t seed,
     }
 
     // Pass 2: identical-query batches (host + satellites), until the
-    // host-kill scenario has demonstrated a satellite re-run.
-    const int rounds = scenario.expect_reruns ? 40 : 4;
+    // scenario's expected recovery path has been demonstrated.
+    std::size_t q32 = 0;
+    while (queries[q32].flight != 3 || queries[q32].variant != 2) ++q32;
+    const bool must_demonstrate =
+        scenario.expect_reruns || scenario.expect_fact_faults;
+    const int rounds = must_demonstrate ? 40 : 4;
     for (int round = 0; round < rounds; ++round) {
-      auto plan_or = ssb::MakeQuery(3, 2);
-      if (!plan_or.ok()) break;
       std::vector<QueryHandle> handles;
       for (int q = 0; q < 4; ++q) {
         handles.push_back(engine.Submit(ssb::MakeQuery(3, 2).value()));
@@ -157,22 +210,14 @@ int RunScenario(Database* db, const Scenario& scenario, uint64_t seed,
       std::vector<std::thread> threads;
       for (auto& handle : handles) {
         threads.emplace_back([&] {
-          auto result = handle.Collect();
-          RecordOutcome(result.status(), &tally);
-          if (!StatusAcceptable(result.status())) {
-            std::printf("VIOLATION: shared Q3.2 unacceptable status: %s\n",
-                        result.status().ToString().c_str());
-            tally.violations.fetch_add(1);
-          }
+          check("shared Q3.2", handle.Collect(), reference[q32]);
         });
       }
       for (auto& t : threads) t.join();
-      if (scenario.expect_reruns &&
-          db->metrics()->GetCounter(metrics::kSharingSatelliteRerun)->Get() >
-              reruns_before) {
-        break;
-      }
+      if (must_demonstrate && demonstrated()) break;
     }
+    dispatch_fires =
+        FaultRegistry::Global().Fires(fault_points::kIoDispatchFail);
   }  // engine drains and shuts down here, faults still armed
   const uint64_t fires = FaultRegistry::Global().TotalFires();
   FaultRegistry::Global().Disarm();
@@ -181,10 +226,11 @@ int RunScenario(Database* db, const Scenario& scenario, uint64_t seed,
       db->metrics()->GetCounter(metrics::kSharingSatelliteRerun)->Get() -
       reruns_before;
   std::printf(
-      "    ok=%d deadline=%d aborted=%d injected=%d reruns=%lld fires=%llu\n",
+      "    ok=%d deadline=%d aborted=%d injected=%d fact_faults=%d "
+      "reruns=%lld fires=%llu\n",
       tally.ok.load(), tally.deadline.load(), tally.aborted.load(),
-      tally.injected.load(), static_cast<long long>(reruns),
-      static_cast<unsigned long long>(fires));
+      tally.injected.load(), tally.fact_faults.load(),
+      static_cast<long long>(reruns), static_cast<unsigned long long>(fires));
 
   int violations = tally.violations.load();
   if (scenario.expect_reruns && reruns == 0) {
@@ -195,6 +241,19 @@ int RunScenario(Database* db, const Scenario& scenario, uint64_t seed,
   if (scenario.expect_deadlines && tally.deadline.load() == 0) {
     std::printf("VIOLATION: deadline scenario tripped no deadlines\n");
     ++violations;
+  }
+  if (scenario.expect_fact_faults) {
+    if (dispatch_fires == 0 || tally.ok.load() == 0) {
+      std::printf("VIOLATION: gqp scenario never completed a query past a "
+                  "failed readahead (dispatch fires=%llu)\n",
+                  static_cast<unsigned long long>(dispatch_fires));
+      ++violations;
+    }
+    if (tally.fact_faults.load() == 0) {
+      std::printf("VIOLATION: gqp scenario never ended a query with a fact "
+                  "page's injected read fault\n");
+      ++violations;
+    }
   }
   if (scenario.name == "control" &&
       (tally.ok.load() == 0 || tally.deadline.load() + tally.aborted.load() +
@@ -241,38 +300,50 @@ int Run(uint64_t seed) {
     }
     reference.push_back(result.value().CanonicalRows());
   }
+  std::unordered_set<PageId> fact_pages;
+  const Table* lineorder = db.catalog()->GetTable("lineorder").value();
+  for (std::size_t i = 0; i < lineorder->num_pages(); ++i) {
+    fact_pages.insert(lineorder->page_id(i));
+  }
 
   const std::vector<Scenario> scenarios = {
       {.name = "control", .fault_spec = ""},
       {.name = "disk",
        .fault_spec = "disk.read=p0.01,disk.write=p0.05",
-       .sp_mode = SpMode::kPull},
+       .mode = EngineMode::kSpPull},
       {.name = "io",
        .fault_spec = "io.dispatch.fail=p0.05,io.dispatch.delay=p0.05*500",
-       .sp_mode = SpMode::kAdaptive},
+       .mode = EngineMode::kSpAdaptive},
       {.name = "hostkill",
        .fault_spec = "sharing.append=n2",
-       .sp_mode = SpMode::kPull,
+       .mode = EngineMode::kSpPull,
        .expect_reruns = true},
       {.name = "spill",
        .fault_spec = "spill.open=once,disk.enospc=p0.1",
        .sp_memory_budget = 16,
-       .sp_mode = SpMode::kPull},
+       .mode = EngineMode::kSpPull},
       {.name = "deadline",
        .fault_spec = "io.dispatch.delay=p0.2*2000",
        .timeout_ms = 1,
-       .sp_mode = SpMode::kPull,
+       .mode = EngineMode::kSpPull,
        .expect_deadlines = true},
       {.name = "mixed",
        .fault_spec = "disk.read=p0.005,io.dispatch.fail=p0.02,"
                      "sharing.append=p0.01,disk.enospc=p0.02",
        .timeout_ms = 5000,
-       .sp_mode = SpMode::kAdaptive},
+       .mode = EngineMode::kSpAdaptive},
+      // No retries, so every dispatch fire fails a readahead job outright.
+      {.name = "gqp",
+       .fault_spec = "disk.read=p0.01,io.dispatch.fail=p0.05",
+       .io_retry_limit = 0,
+       .mode = EngineMode::kGqp,
+       .expect_fact_faults = true},
   };
 
   int violations = 0;
   for (const auto& scenario : scenarios) {
-    violations += RunScenario(&db, scenario, seed, queries, reference);
+    violations +=
+        RunScenario(&db, scenario, seed, queries, reference, fact_pages);
   }
 
   const double elapsed =
