@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "common/metrics_format.h"
 #include "common/stopwatch.h"
 #include "core/sharing_engine.h"
 #include "workload/driver.h"
@@ -75,18 +76,11 @@ inline PlanNodeRef StarJoinRootOf(PlanNodeRef plan) {
 /// bench JSON array: the run's metrics-registry snapshot (counters,
 /// gauges, and the histogram count/p50/p95/p99 views), so every
 /// BENCH_*.json records the engine internals behind its headline
-/// numbers. Metric names are [a-z0-9._] by construction — no escaping.
+/// numbers. The object is the shared MetricsJsonObject rendering.
 inline void JsonMetricsRow(std::FILE* json, bool* first,
                            const MetricsSnapshot& snapshot) {
-  std::fprintf(json, "%s  {\"part\": \"metrics\", \"metrics\": {",
-               *first ? "" : ",\n");
-  bool first_kv = true;
-  for (const auto& [name, value] : snapshot) {
-    std::fprintf(json, "%s\"%s\": %lld", first_kv ? "" : ", ", name.c_str(),
-                 static_cast<long long>(value));
-    first_kv = false;
-  }
-  std::fprintf(json, "}}");
+  std::fprintf(json, "%s  {\"part\": \"metrics\", \"metrics\": %s}",
+               *first ? "" : ",\n", MetricsJsonObject(snapshot).c_str());
   *first = false;
 }
 

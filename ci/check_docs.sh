@@ -2,8 +2,9 @@
 # Docs hygiene gate, run by ci/verify.sh:
 #   1. Relative markdown links in README.md, DESIGN.md, docs/*.md and
 #      examples/README.md must resolve to existing files.
-#   2. Every field of QPipeOptions (src/qpipe/engine.h) and EngineConfig
-#      (src/core/sharing_engine.h) must be named in docs/KNOBS.md.
+#   2. Every field of QPipeOptions (src/qpipe/engine.h), EngineConfig
+#      (src/core/sharing_engine.h), AdaptiveSpPolicy and CostModelOptions
+#      must have its own table row in docs/KNOBS.md.
 #   3. Every canonical metric name in src/common/metrics.h must be named
 #      in docs/METRICS.md.
 # The point: the documentation surface cannot silently rot as knobs and
@@ -32,14 +33,17 @@ for f in README.md DESIGN.md docs/*.md examples/README.md; do
 done
 
 # --- 2. knob coverage -------------------------------------------------------
-# Extract member names of a top-level struct: lines at brace depth 1 that
-# declare a field (no '(', ends in ';'), taking the last identifier before
-# the default/semicolon. Nested function bodies (e.g. AllSp) sit at depth
-# >= 2 and are skipped.
+# Extract member names of a top-level struct (`struct Name {` or
+# `struct Name : Base {`): lines at brace depth 1 that declare a field (no
+# '(', ends in ';'), taking the last identifier before the
+# default/semicolon. Nested function bodies (e.g. AllSp) sit at depth >= 2
+# and are skipped. Inherited fields are checked through the base struct.
 extract_fields() {
   local file="$1" struct="$2"
   awk -v s="$struct" '
-    $0 ~ "^struct[ \t]+" s "[ \t]*\\{" { in_struct = 1; depth = 1; next }
+    $0 ~ "^struct[ \t]+" s "[ \t]*(:[^{]*)?\\{" {
+      in_struct = 1; depth = 1; next
+    }
     in_struct {
       line = $0
       if (depth == 1 && line !~ /\(/ && line !~ /^[ \t]*\/\// &&
@@ -61,14 +65,23 @@ extract_fields() {
 
 check_knobs() {
   local file="$1" struct="$2"
-  local name
+  local name found=0
   while IFS= read -r name; do
     [[ -z "$name" ]] && continue
-    if ! grep -qw "$name" docs/KNOBS.md; then
-      echo "docs-check: $struct::$name ($file) missing from docs/KNOBS.md"
+    found=1
+    # The field must head a table row: backticked in the first cell,
+    # optionally behind a member prefix (`adaptive.popularity_window`).
+    # A mention in prose or in another knob's row does not count.
+    if ! grep -qE "^\| [^|]*\`([a-z_]+\.)?$name\`" docs/KNOBS.md; then
+      echo "docs-check: $struct::$name ($file) has no row in docs/KNOBS.md"
       fail=1
     fi
   done < <(extract_fields "$file" "$struct")
+  # A struct the extractor cannot parse would otherwise pass silently.
+  if [[ $found -eq 0 ]]; then
+    echo "docs-check: no fields extracted for $struct ($file)"
+    fail=1
+  fi
 }
 
 check_knobs src/qpipe/engine.h QPipeOptions

@@ -20,21 +20,4 @@ void CJoinStage::RunPacket(Packet& packet) {
   }
 }
 
-std::shared_ptr<CJoinStage> AttachCJoinToEngine(QPipeEngine* engine,
-                                                CJoinPipeline* pipeline,
-                                                Stage::Options options) {
-  auto stage =
-      std::make_shared<CJoinStage>(pipeline, options, engine->metrics());
-  engine->RegisterExtraStage(stage);
-  std::string fact = pipeline->fact_table_name();
-  engine->SetJoinDispatchHook(
-      [stage, fact](const PlanNodeRef& node,
-                    const ExecContextRef& ctx) -> PageSourceRef {
-        auto spec_or = StarQueryFromPlan(*node, fact);
-        if (!spec_or.ok()) return nullptr;  // not a star: query-centric path
-        return stage->SubmitOrShare(node, ctx, /*make_inputs=*/{});
-      });
-  return stage;
-}
-
 }  // namespace sharing

@@ -6,12 +6,15 @@
 // star sub-plans are identical share one CJOIN admission — the satellite
 // reads the host's Shared Pages List, "saving admission costs and
 // unnecessary book-keeping costs" exactly as the paper describes.
+//
+// SharingEngine builds the stage from the QPipe engine's derived stage
+// options and, in GQP modes, routes star-join sub-plans to it through the
+// engine's join-dispatch hook; non-star joins stay on the JOIN stage.
 
 #pragma once
 
 #include "cjoin/pipeline.h"
 #include "cjoin/star_query.h"
-#include "qpipe/engine.h"
 #include "qpipe/stage.h"
 
 namespace sharing {
@@ -30,14 +33,5 @@ class CJoinStage final : public Stage {
  private:
   CJoinPipeline* pipeline_;
 };
-
-/// Routes CJOIN-eligible join sub-plans of `engine` to `stage`: installs a
-/// join-dispatch hook that converts star sub-plans to StarQuerySpecs and
-/// submits them as CJOIN packets; non-star joins fall back to the
-/// query-centric JOIN stage. Returns the shared stage so callers can flip
-/// its SP mode (GQP vs GQP+SP).
-std::shared_ptr<CJoinStage> AttachCJoinToEngine(QPipeEngine* engine,
-                                                CJoinPipeline* pipeline,
-                                                Stage::Options options);
 
 }  // namespace sharing

@@ -36,10 +36,8 @@ std::string PrometheusMetricName(const std::string& name) {
   return out;
 }
 
-std::string MetricsJsonLine(const MetricsSnapshot& snapshot,
-                            int64_t uptime_ms) {
-  std::string out =
-      "{\"uptime_ms\":" + std::to_string(uptime_ms) + ",\"metrics\":{";
+std::string MetricsJsonObject(const MetricsSnapshot& snapshot) {
+  std::string out = "{";
   bool first = true;
   for (const auto& [name, value] : snapshot) {
     if (!first) out += ",";
@@ -49,8 +47,14 @@ std::string MetricsJsonLine(const MetricsSnapshot& snapshot,
     out += "\":";
     out += std::to_string(value);
   }
-  out += "}}";
+  out += "}";
   return out;
+}
+
+std::string MetricsJsonLine(const MetricsSnapshot& snapshot,
+                            int64_t uptime_ms) {
+  return "{\"uptime_ms\":" + std::to_string(uptime_ms) +
+         ",\"metrics\":" + MetricsJsonObject(snapshot) + "}";
 }
 
 std::string MetricsPrometheusText(const TypedMetricsSnapshot& snapshot) {

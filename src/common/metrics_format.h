@@ -1,18 +1,20 @@
 // Shared metric serialization: the ONE place a metrics snapshot turns
-// into bytes. Both export paths render from here —
+// into bytes. Every export path renders from here —
 //
-//  * MetricsJsonLine: the StatsReporter's JSON-lines format
-//    ({"uptime_ms":N,"metrics":{name:value,...}}), rendered from the
-//    flat snapshot (which is itself defined as the projection of the
-//    typed one — see FlattenTypedSnapshot).
+//  * MetricsJsonObject: the flat snapshot as one JSON object
+//    ({name:value,...}; the flat snapshot is itself defined as the
+//    projection of the typed one — see FlattenTypedSnapshot). The
+//    bench JSON files embed it in their "metrics" rows.
+//  * MetricsJsonLine: the StatsReporter's and admin server's JSON-lines
+//    format ({"uptime_ms":N,"metrics":<MetricsJsonObject>}).
 //  * MetricsPrometheusText: the admin server's `GET /metrics` body in
 //    the Prometheus text exposition format (version 0.0.4), rendered
 //    from the typed snapshot so counters/gauges/histograms keep their
 //    kinds (# TYPE lines, summary quantile labels).
 //
-// Because both serializers consume the same registry snapshot, the
-// JSON-lines sink and a Prometheus scrape can never disagree about a
-// metric's value or name set.
+// Because every serializer consumes the same registry snapshot, the
+// JSON-lines sink, the bench JSON and a Prometheus scrape can never
+// disagree about a metric's value or name set.
 
 #pragma once
 
@@ -31,9 +33,13 @@ namespace sharing {
 /// test asserts for every canonical name.
 std::string PrometheusMetricName(const std::string& name);
 
+/// One snapshot as a compact JSON object: {"a.b":1,...}. Metric names
+/// are emitted verbatim (registry names are [a-z0-9_.]: nothing to
+/// escape).
+std::string MetricsJsonObject(const MetricsSnapshot& snapshot);
+
 /// One snapshot as a self-contained JSON line (no trailing newline):
-/// {"uptime_ms":N,"metrics":{"a.b":1,...}}. Metric names are emitted
-/// verbatim (registry names are [a-z0-9_.]: nothing to escape).
+/// {"uptime_ms":N,"metrics":{"a.b":1,...}}.
 std::string MetricsJsonLine(const MetricsSnapshot& snapshot,
                             int64_t uptime_ms);
 

@@ -22,20 +22,12 @@ StatsReporter::~StatsReporter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-std::string StatsReporter::SnapshotJsonLine(const MetricsSnapshot& snapshot,
-                                            int64_t uptime_ms) {
-  // One shared serializer (common/metrics_format.h) renders both this
-  // JSON-lines format and the admin server's Prometheus text, so the
-  // two export paths cannot drift.
-  return MetricsJsonLine(snapshot, uptime_ms);
-}
-
 void StatsReporter::EmitNow() {
   const int64_t uptime_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start_)
           .count();
-  Emit(SnapshotJsonLine(options_.metrics->Snapshot(), uptime_ms));
+  Emit(MetricsJsonLine(options_.metrics->Snapshot(), uptime_ms));
 }
 
 void StatsReporter::Emit(const std::string& line) {

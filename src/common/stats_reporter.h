@@ -55,12 +55,9 @@ class StatsReporter {
   /// Emits a final snapshot, stops and joins the thread. Idempotent.
   void Stop();
 
-  /// Emits one snapshot line right now (also what the timer calls).
+  /// Emits one snapshot line (MetricsJsonLine) right now (also what the
+  /// timer calls).
   void EmitNow();
-
-  /// One snapshot rendered as a JSON line (no trailing newline).
-  static std::string SnapshotJsonLine(const MetricsSnapshot& snapshot,
-                                      int64_t uptime_ms);
 
   int64_t lines_emitted() const;
 

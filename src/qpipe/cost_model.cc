@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "common/logging.h"
 #include "common/trace.h"
 
 namespace sharing {
@@ -340,18 +339,6 @@ CostDecision SharingCostModel::Decide(uint64_t signature,
   span.AddArg("unshared_us", static_cast<int64_t>(est.unshared_micros));
   span.AddArg("push_us", static_cast<int64_t>(est.push_micros));
   span.AddArg("pull_us", static_cast<int64_t>(est.pull_micros));
-
-  if (options_.debug) {
-    SHARING_LOG(Info) << "cost-model sig=" << signature << " mode="
-                      << SpModeToString(chosen) << " conf="
-                      << decision.confidence << " W=" << est.work_micros
-                      << "us n=" << est.expected_satellites
-                      << " unshared=" << est.unshared_micros
-                      << " push=" << est.push_micros
-                      << " pull=" << est.pull_micros
-                      << " retention=" << est.retention_pages
-                      << " spill=" << est.spill_pages;
-  }
   return decision;
 }
 

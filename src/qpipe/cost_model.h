@@ -30,14 +30,16 @@
 // trip, ...) are *model parameters*, not measurements — they encode the
 // relative expense of the transports the same way the paper's analytical
 // model does, and the estimate only needs to rank {off, push, pull}
-// correctly, not predict wall clock. history/min_samples/debug are
-// surfaced as QPipeOptions/EngineConfig::cost_model_*; hysteresis and
-// the signature-LRU capacity are internal (see docs/KNOBS.md).
+// correctly, not predict wall clock. Only min_samples is surfaced, as
+// QPipeOptions::cost_model_min_samples; history, hysteresis and the
+// signature-LRU capacity are internal (see docs/KNOBS.md).
 //
 // Observability: policy.decisions_shared / policy.decisions_unshared /
 // policy.flips counters and the policy.confidence gauge (per-mille of the
 // most recent model decision's confidence). docs/METRICS.md documents all
-// of them.
+// of them. Each decision's estimates ride the policy.decide trace span;
+// Stage::CostModelDump() and the admin /cost_model endpoint give the
+// per-signature view.
 
 #pragma once
 
@@ -54,8 +56,8 @@
 
 namespace sharing {
 
-/// Tuning for the per-signature cost model (plumbed from
-/// QPipeOptions/EngineConfig::cost_model_*).
+/// Tuning for the per-signature cost model (min_samples plumbed from
+/// QPipeOptions::cost_model_min_samples).
 struct CostModelOptions {
   /// Ring-buffer capacity per signature: how many recent executions /
   /// closed sessions vote. Small histories adapt fast; large ones smooth
@@ -76,10 +78,6 @@ struct CostModelOptions {
   /// Signatures tracked; beyond this the least-recently-touched
   /// signature's history is evicted (mirrors the popularity LRU).
   std::size_t capacity = 4096;
-
-  /// Log every model decision (signature, estimates, chosen mode,
-  /// confidence) — the cost_model_debug knob.
-  bool debug = false;
 };
 
 /// Ring-buffer history for one packet signature. Not thread-safe; the
@@ -254,8 +252,8 @@ class SharingCostModel {
   };
   std::vector<SignatureSnapshot> Snapshot() const;
 
-  /// Human-readable dump of every tracked signature (the
-  /// cost_model_debug surface; also handy in a debugger).
+  /// Human-readable dump of every tracked signature (Stage::CostModelDump;
+  /// also handy in a debugger).
   std::string DebugDump() const;
 
   const CostModelOptions& options() const { return options_; }

@@ -92,23 +92,19 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
     SpBudgetGovernor::Options gopts;
     gopts.budget_pages = options_.sp_memory_budget;
     gopts.spill_path = options_.sp_spill_path;
-    gopts.read_latency_micros = options_.sp_spill_read_latency_micros;
-    gopts.write_latency_micros = options_.sp_spill_write_latency_micros;
     gopts.scheduler = io_scheduler_;
     gopts.spill_write_window = options_.spill_write_window;
     gopts.metrics = metrics_;
     sp_governor_ = SpBudgetGovernor::Create(std::move(gopts));
   }
 
-  Stage::Options base;
+  Stage::Options& base = base_stage_options_;
   base.initial_workers = options_.stage_workers;
   base.max_workers = options_.stage_max_workers;
   base.fifo_capacity = options_.fifo_capacity;
   base.sp_read_batch = options_.sp_read_batch;
   base.adaptive = options_.adaptive;
-  base.cost_model.history = options_.cost_model_history;
   base.cost_model.min_samples = options_.cost_model_min_samples;
-  base.cost_model.debug = options_.cost_model_debug;
   // The model tracks the same signatures the popularity LRU does.
   base.cost_model.capacity = options_.adaptive.popularity_capacity;
   base.governor = sp_governor_;

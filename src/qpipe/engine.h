@@ -1,7 +1,7 @@
 // QPipeEngine: the staged, work-sharing execution engine.
 //
 // Submitting a plan converts it into packets dispatched to the TSCAN /
-// JOIN / AGG / SORT stages (the CJOIN stage is added by the cjoin module).
+// JOIN / AGG / SORT stages (SharingEngine adds the CJOIN stage).
 // Per-stage SP modes control reactive sharing; circular shared scans at
 // the I/O layer are on by default (the paper: "Without SP for any stage,
 // the QPipe engine is similar to a query-centric execution engine with
@@ -60,20 +60,12 @@ struct QPipeOptions {
   /// model below; they remain the fallback for thin-history signatures.
   AdaptiveSpPolicy adaptive;
 
-  /// Per-signature cost model (SpMode::kAdaptive): ring-buffer history
-  /// kept per packet signature (arrival gaps, work per packet, session
-  /// outcomes). Small histories adapt fast, large ones smooth bursts.
-  std::size_t cost_model_history = 32;
-
-  /// Closed sessions AND work samples a signature needs before the cost
-  /// model decides for it; below this the stage-wide `adaptive`
-  /// thresholds decide. 0 is clamped to 1 (a model with no history
-  /// would divide by zero conceptually, not literally).
+  /// Closed sessions AND work samples a signature needs before the
+  /// per-signature cost model (SpMode::kAdaptive) decides for it; below
+  /// this the stage-wide `adaptive` thresholds decide. 0 is clamped to 1
+  /// (a model with no history would divide by zero conceptually, not
+  /// literally).
   std::size_t cost_model_min_samples = 3;
-
-  /// Log every cost-model decision (signature, cost estimates, chosen
-  /// mode, confidence) — the admission hot path's debug dump.
-  bool cost_model_debug = false;
 
   /// Engine-wide in-memory SP page budget (pull-model retention across
   /// every stage's sharing channels). 0 = unbounded. When the budget is
@@ -84,13 +76,6 @@ struct QPipeOptions {
 
   /// Backing file for spilled SP pages; empty picks a unique temp file.
   std::string sp_spill_path;
-
-  /// Latency model charged on spill writes (on the I/O workers, never a
-  /// producer thread); 0 = none. Used by disk-resident benchmarks.
-  uint32_t sp_spill_write_latency_micros = 0;
-
-  /// Latency model charged on spill fault-back reads; 0 = none.
-  uint32_t sp_spill_read_latency_micros = 0;
 
   /// I/O scheduler worker threads. 0 disables the scheduler entirely:
   /// spill writes run synchronously in the producer path and scans read
@@ -247,6 +232,14 @@ class QPipeEngine {
   AggStage* agg_stage() { return agg_.get(); }
   SortStage* sort_stage() { return sort_.get(); }
 
+  /// Stage::Options derived from QPipeOptions (workers, FIFO capacity,
+  /// batching, admission tuning, the SP governor), with sp_mode kOff.
+  /// Every stage is built from it, auxiliary stages such as CJOIN
+  /// included.
+  const Stage::Options& base_stage_options() const {
+    return base_stage_options_;
+  }
+
   /// The engine-wide SP memory governor; null when
   /// QPipeOptions::sp_memory_budget is 0.
   const std::shared_ptr<SpBudgetGovernor>& sp_governor() const {
@@ -323,6 +316,7 @@ class QPipeEngine {
 
   std::shared_ptr<IoScheduler> io_scheduler_;
   std::shared_ptr<SpBudgetGovernor> sp_governor_;
+  Stage::Options base_stage_options_;
   std::unique_ptr<StatsReporter> stats_reporter_;
   std::unique_ptr<TscanStage> tscan_;
   std::unique_ptr<JoinStage> join_;

@@ -205,7 +205,7 @@ class Stage {
     return cost_model_->Snapshot();
   }
 
-  /// Human-readable per-signature dump (the cost_model_debug surface).
+  /// Human-readable per-signature dump of the cost model.
   std::string CostModelDump() const { return cost_model_->DebugDump(); }
 
   /// Drains and joins the worker pool (also run by the destructor).

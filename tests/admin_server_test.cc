@@ -150,6 +150,9 @@ TEST(MetricsFormatTest, JsonAndPrometheusShareOneSnapshot) {
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"sp.pages_shared\":42"), std::string::npos);
   EXPECT_NE(json.find("\"uptime_ms\":123"), std::string::npos);
+  // The JSON line and the bench metrics rows embed the same object.
+  EXPECT_EQ(json, "{\"uptime_ms\":123,\"metrics\":" +
+                      MetricsJsonObject(registry.Snapshot()) + "}");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "core/sharing_engine.h"
@@ -219,6 +220,60 @@ TEST(EngineModeSwitchTest, ModeChangesAtRuntimeKeepCorrectness) {
     ExpectResultsEquivalent(want, got.value(),
                             std::string(EngineModeToString(mode)));
   }
+}
+
+// EngineConfig is a QPipeOptions: non-default transport knobs must reach
+// every stage, the CJOIN stage included (it is built from the same derived
+// Stage::Options). Page-at-a-time 2-page FIFOs, a 4-page SP budget that
+// forces spilling, and synchronous I/O must not change any result in any
+// mode.
+TEST(EngineModeSwitchTest, InheritedOptionsReachEveryStageInEveryMode) {
+  auto* env = &EquivalenceEnv::Get();
+  EngineConfig config = ConfigFor(EngineMode::kGqpSp);
+  config.fifo_capacity = 2;
+  config.sp_read_batch = 1;
+  config.sp_memory_budget = 4;
+  config.io_threads = 0;
+  SharingEngine engine(env->db(), config);
+  ASSERT_NE(engine.qpipe()->sp_governor(), nullptr);
+  EXPECT_EQ(engine.qpipe()->sp_governor()->budget_pages(), 4u);
+  EXPECT_EQ(engine.qpipe()->base_stage_options().fifo_capacity, 2u);
+  EXPECT_EQ(engine.qpipe()->base_stage_options().sp_read_batch, 1u);
+  EXPECT_EQ(engine.qpipe()->io_scheduler(), nullptr);
+
+  auto star = ssb::ParameterizedStarPlan({.selectivity = 0.05,
+                                          .num_variants = 1,
+                                          .variant = 0});
+  auto q32 = ssb::MakeQuery(3, 2).value();
+  const auto& want_star = env->Reference(star);
+  const auto& want_q32 = env->Reference(q32);
+  const auto before = env->db()->metrics()->Snapshot();
+  for (EngineMode mode :
+       {EngineMode::kQueryCentric, EngineMode::kSpPush, EngineMode::kSpPull,
+        EngineMode::kSpAdaptive, EngineMode::kGqp, EngineMode::kGqpSp}) {
+    engine.SetMode(mode);
+    // Four identical stars plus Q3.2, all in flight and drained
+    // concurrently (a push host blocks on its slowest satellite's FIFO).
+    const std::vector<PlanNodeRef> plans = {star, star, star, star, q32};
+    std::vector<std::optional<StatusOr<ResultSet>>> results(plans.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      threads.emplace_back(
+          [&, i] { results[i].emplace(engine.Execute(plans[i])); });
+    }
+    for (auto& t : threads) t.join();
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      const std::string label = std::string(EngineModeToString(mode)) +
+                                (plans[i] == star ? " star" : " Q3.2");
+      const auto& got = *results[i];
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      ExpectResultsEquivalent(plans[i] == star ? want_star : want_q32,
+                              got.value(), label);
+    }
+  }
+  auto delta =
+      MetricsRegistry::Delta(before, env->db()->metrics()->Snapshot());
+  EXPECT_GT(delta[metrics::kSpPagesSpilled], 0);
 }
 
 TEST(EngineModeSwitchTest, GqpSharesAdmissionsForIdenticalPlans) {
