@@ -8,8 +8,10 @@
 // bursts (high sharing value) interleaved with cold one-off queries (zero
 // sharing value) — runs under off/push/pull/adaptive and reports wall
 // time, SP hits, pages copied vs shared, the SPL retention high-water
-// mark, and the adaptive policy's per-packet decisions. Expected shape:
-// adaptive tracks the best static mode on both ends.
+// mark, and the adaptive policy's per-packet decisions. In the adaptive
+// row a hot signature's first hosted sessions run the cost model's
+// thin-history prior (pull), and the model prices the rest. Expected
+// shape: adaptive tracks the best static mode on both ends.
 //
 // Part 2 (heterogeneous signatures): two hot templates with opposite cost
 // profiles — a skinny ~2%-selectivity scan and a fat whole-table scan —
@@ -355,14 +357,18 @@ int main() {
                 static_cast<double>(s.run_micros) / 1e3);
   }
 
+  // The decided_* counts are history-backed model decisions only: the
+  // thin-history prior hosts pull for both templates but counts for
+  // neither, so a skinny decided_pull is a real model verdict.
   const bool diverged =
       report.fat.decided_pull > 0 && report.skinny.decided_pull == 0;
   std::printf(
       "\nExpected shape: the fat signature's result size and satellite\n"
       "fan-out make pull strictly dominant, while the skinny one stays\n"
-      "push/off — one stage, two different admissions%s. A stage-wide\n"
-      "policy (the pre-cost-model heuristic) would blend both histories\n"
-      "and hand the two templates the same transport.\n",
+      "push/off — one stage, two different admissions%s. The deleted\n"
+      "stage-wide threshold heuristic that preceded the cost model\n"
+      "blended both histories and handed the two templates the same\n"
+      "transport.\n",
       diverged ? " (observed)" : " (NOT observed — investigate)");
 
   if (json != nullptr) {

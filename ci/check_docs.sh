@@ -3,8 +3,9 @@
 #   1. Relative markdown links in README.md, DESIGN.md, docs/*.md and
 #      examples/README.md must resolve to existing files.
 #   2. Every field of QPipeOptions (src/qpipe/engine.h), EngineConfig
-#      (src/core/sharing_engine.h), AdaptiveSpPolicy and CostModelOptions
-#      must have its own table row in docs/KNOBS.md.
+#      (src/core/sharing_engine.h) and CostModelOptions
+#      (src/qpipe/cost_model.h) must have its own table row in
+#      docs/KNOBS.md.
 #   3. Every canonical metric name in src/common/metrics.h must be named
 #      in docs/METRICS.md.
 # The point: the documentation surface cannot silently rot as knobs and
@@ -69,10 +70,9 @@ check_knobs() {
   while IFS= read -r name; do
     [[ -z "$name" ]] && continue
     found=1
-    # The field must head a table row: backticked in the first cell,
-    # optionally behind a member prefix (`adaptive.popularity_window`).
-    # A mention in prose or in another knob's row does not count.
-    if ! grep -qE "^\| [^|]*\`([a-z_]+\.)?$name\`" docs/KNOBS.md; then
+    # The field must head a table row: backticked in the first cell. A
+    # mention in prose or in another knob's row does not count.
+    if ! grep -qE "^\| [^|]*\`$name\`" docs/KNOBS.md; then
       echo "docs-check: $struct::$name ($file) has no row in docs/KNOBS.md"
       fail=1
     fi
@@ -86,7 +86,6 @@ check_knobs() {
 
 check_knobs src/qpipe/engine.h QPipeOptions
 check_knobs src/core/sharing_engine.h EngineConfig
-check_knobs src/qpipe/stage.h AdaptiveSpPolicy
 check_knobs src/qpipe/cost_model.h CostModelOptions
 
 # --- 3. metric coverage -----------------------------------------------------

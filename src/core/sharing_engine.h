@@ -27,7 +27,7 @@ enum class EngineMode {
   kSpPush,
   kSpPull,
   /// Adaptive SP: every QPipe stage picks off/push/pull per packet from
-  /// live stage statistics (see AdaptiveSpPolicy).
+  /// the signature's history (see SharingCostModel).
   kSpAdaptive,
   kGqp,
   kGqpSp,

@@ -43,11 +43,13 @@ struct QueryExplain {
     Role role = Role::kUnshared;
     const char* transport = "none";    // "none" | "push" | "pull"
     /// Who made the call: "static" (configured mode), "cold" (popularity
-    /// gate), "model" (per-signature cost model), "fallback" (stage-wide
-    /// thresholds), "attach" (an in-flight host existed — free win).
+    /// gate), "model" (per-signature cost model, its thin-history prior
+    /// included), "attach" (an in-flight host existed — free win),
+    /// "rerun" (a satellite re-dispatched unshared after its host died).
     const char* decided_by = "static";
     bool spill_preferred = false;  // model chose pull for the spill tier
-    double confidence = 0;         // model decisions only
+    /// Model decisions only; 0 with decided_by "model" = the prior.
+    double confidence = 0;
 
     /// RunPacket wall time (0 for satellites — that is the work SP
     /// saved this query).

@@ -127,9 +127,16 @@ SharingCostModel::Entry& SharingCostModel::TouchLocked(uint64_t signature) {
   return it->second;
 }
 
-void SharingCostModel::RecordArrival(uint64_t signature, int64_t now_micros) {
+int64_t SharingCostModel::RecordArrival(uint64_t signature,
+                                        int64_t now_micros,
+                                        int64_t stage_seq) {
   std::lock_guard<std::mutex> lock(mutex_);
-  TouchLocked(signature).stats.RecordArrival(now_micros);
+  Entry& entry = TouchLocked(signature);
+  entry.stats.RecordArrival(now_micros);
+  const std::optional<int64_t> previous = entry.last_arrival_seq;
+  entry.last_arrival_seq = stage_seq;
+  return previous ? stage_seq - *previous
+                  : std::numeric_limits<int64_t>::max();
 }
 
 void SharingCostModel::RecordExecution(uint64_t signature,
@@ -185,9 +192,13 @@ CostDecision SharingCostModel::Decide(uint64_t signature,
   CostDecision decision;
   if (stats.session_samples() < options_.min_samples ||
       stats.work_samples() < options_.min_samples) {
-    return decision;  // from_model = false: caller falls back
+    // Thin history: the prior, pull with confidence 0 — the transport
+    // with the widest attach window and no copies. It returns before the
+    // sticky bookkeeping, so it never becomes the incumbent and moves no
+    // policy.* metric or decided_* count.
+    span.AddArg("mode", static_cast<int64_t>(decision.mode));
+    return decision;
   }
-  decision.from_model = true;
   CostEstimate& est = decision.estimate;
 
   const double work = stats.MeanWorkMicros();
@@ -275,9 +286,8 @@ CostDecision SharingCostModel::Decide(uint64_t signature,
 
   // Sticky decisions: the challenger must beat the incumbent — the
   // signature's previous decision, or the cheaper shared transport for a
-  // first-time decision (sharing is the default prior, as in the
-  // threshold policy's "no history -> pull") — by more than the
-  // hysteresis margin.
+  // first history-backed decision (sharing stays the default, as in the
+  // thin-history prior) — by more than the hysteresis margin.
   const SpMode incumbent =
       entry.has_decision
           ? entry.last_mode

@@ -5,10 +5,10 @@
 // assumed: whether hosting a sharing session wins depends on the work a
 // query performs, how often its identical twins arrive, and how its
 // consumers behave — all properties of the *query shape*, not the stage.
-// The stage-wide means the original ChooseAdaptiveMode compared against
-// thresholds conflate cheap and expensive signatures: one laggy big
-// template drags every small template into pull, and a flood of trivial
-// one-pagers hides the convoy a heavy template is building.
+// The stage-wide means the original threshold heuristic compared
+// conflated cheap and expensive signatures: one laggy big template
+// dragged every small template into pull, and a flood of trivial
+// one-pagers hid the convoy a heavy template was building.
 //
 // This module keys the decision on the plan signature instead:
 //
@@ -25,6 +25,14 @@
 //    sticky: flipping away from the previous decision requires the
 //    challenger to win by more than a hysteresis margin, so a signature
 //    sitting on a cost crossover does not thrash between transports.
+//    Below min_samples of history it returns an explicit prior instead:
+//    host pull with confidence 0.
+//
+//  * The signature LRU — bounded at CostModelOptions::capacity, so a
+//    long-lived server keeps its hot templates' history under cold churn —
+//    also answers *whether* a signature is worth deciding for:
+//    RecordArrival reports the stage submissions since its last sighting,
+//    and the stage treats anything beyond kPopularityWindow as cold.
 //
 // The model's constants (copy cost per page, attach cost, spill round
 // trip, ...) are *model parameters*, not measurements — they encode the
@@ -46,6 +54,7 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,10 +73,10 @@ struct CostModelOptions {
   /// bursty consumers.
   std::size_t history = 32;
 
-  /// Sessions AND work samples a signature needs before the model decides
-  /// for it; below this the caller falls back to the stage-wide
-  /// heuristic. 0 is clamped to 1 by the model (a zero gate would let it
-  /// decide from an empty ring).
+  /// Sessions AND work samples a signature needs before the model prices
+  /// it; below this Decide returns the thin-history prior (host pull,
+  /// confidence 0). 0 is clamped to 1 by the model (a zero gate would let
+  /// it price an empty ring).
   std::size_t min_samples = 3;
 
   /// Relative cost advantage a challenger mode must have over the
@@ -76,7 +85,7 @@ struct CostModelOptions {
   double hysteresis = 0.15;
 
   /// Signatures tracked; beyond this the least-recently-touched
-  /// signature's history is evicted (mirrors the popularity LRU).
+  /// signature's history, last sighting included, is evicted.
   std::size_t capacity = 4096;
 };
 
@@ -184,10 +193,6 @@ struct CostEstimate {
 };
 
 struct CostDecision {
-  /// False: not enough history — the caller must fall back to its
-  /// stage-wide heuristic. All other fields are meaningless then.
-  bool from_model = false;
-
   SpMode mode = SpMode::kPull;  // kOff, kPush or kPull
 
   /// Pull was chosen (at least partly) because the retention forecast
@@ -196,7 +201,8 @@ struct CostDecision {
 
   /// [0,1]: grows with history depth and with the cost margin between the
   /// chosen mode and the runner-up. Monotonically non-decreasing in
-  /// sample count for a stationary signature.
+  /// sample count for a stationary signature. 0 = the thin-history prior
+  /// decided (the estimate is then empty).
   double confidence = 0;
 
   CostEstimate estimate;
@@ -211,7 +217,13 @@ class SharingCostModel {
   /// Record hooks (thread-safe). `now_micros` is any monotonic micros
   /// clock; production callers pass steady_clock, tests pass synthetic
   /// time.
-  void RecordArrival(uint64_t signature, int64_t now_micros);
+  ///
+  /// RecordArrival also keeps the signature's popularity: `stage_seq` is
+  /// the caller's submission sequence number, and the return value is
+  /// how many submissions happened since the signature's previous
+  /// arrival — INT64_MAX when it has none (new, or evicted by the LRU).
+  int64_t RecordArrival(uint64_t signature, int64_t now_micros,
+                        int64_t stage_seq);
   void RecordExecution(uint64_t signature, double work_micros);
   void RecordSession(uint64_t signature,
                      const SignatureStats::SessionSample& sample);
@@ -227,8 +239,10 @@ class SharingCostModel {
   void RecordAttachCost(double attach_ns);
 
   /// The admission decision for a fresh packet of `signature`.
-  /// Thread-safe; updates the signature's sticky decision state and the
-  /// policy.* metrics when the model decides.
+  /// Thread-safe. With min_samples of history it prices the three modes
+  /// and updates the signature's sticky decision state and the policy.*
+  /// metrics; below that it returns the prior (pull, confidence 0) and
+  /// touches neither.
   CostDecision Decide(uint64_t signature, const CostModelEnvironment& env);
 
   /// Point-in-time view of one tracked signature (bench / test surface).
@@ -279,6 +293,10 @@ class SharingCostModel {
   /// placement) within a few dozen samples while one outlier copy cannot
   /// swing a decision.
   static constexpr double kCostEwmaAlpha = 0.2;
+  /// A signature is hot when RecordArrival reports at most this many
+  /// submissions since its previous arrival; a cold one executes unshared
+  /// (hosting a channel no twin will find is pure overhead).
+  static constexpr int64_t kPopularityWindow = 64;
 
  private:
   struct Entry {
@@ -290,6 +308,8 @@ class SharingCostModel {
     int64_t decided_off = 0;
     int64_t decided_push = 0;
     int64_t decided_pull = 0;
+    /// Caller's submission sequence at the latest RecordArrival.
+    std::optional<int64_t> last_arrival_seq;
     std::list<uint64_t>::iterator lru_it;
   };
 

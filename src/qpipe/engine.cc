@@ -103,10 +103,7 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
   base.max_workers = options_.stage_max_workers;
   base.fifo_capacity = options_.fifo_capacity;
   base.sp_read_batch = options_.sp_read_batch;
-  base.adaptive = options_.adaptive;
   base.cost_model.min_samples = options_.cost_model_min_samples;
-  // The model tracks the same signatures the popularity LRU does.
-  base.cost_model.capacity = options_.adaptive.popularity_capacity;
   base.governor = sp_governor_;
 
   Stage::Options o = base;

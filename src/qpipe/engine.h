@@ -54,17 +54,10 @@ struct QPipeOptions {
   /// reclamation granularity coarsen to the batch size.
   std::size_t sp_read_batch = 8;
 
-  /// Thresholds for SpMode::kAdaptive (per-packet off/push/pull choice),
-  /// applied to every stage running in adaptive mode. With enough
-  /// per-signature history these thresholds are superseded by the cost
-  /// model below; they remain the fallback for thin-history signatures.
-  AdaptiveSpPolicy adaptive;
-
   /// Closed sessions AND work samples a signature needs before the
-  /// per-signature cost model (SpMode::kAdaptive) decides for it; below
-  /// this the stage-wide `adaptive` thresholds decide. 0 is clamped to 1
-  /// (a model with no history would divide by zero conceptually, not
-  /// literally).
+  /// per-signature cost model (SpMode::kAdaptive) prices it; below this
+  /// the model's prior hosts pull. 0 is clamped to 1 (a model with no
+  /// history would divide by zero conceptually, not literally).
   std::size_t cost_model_min_samples = 3;
 
   /// Engine-wide in-memory SP page budget (pull-model retention across

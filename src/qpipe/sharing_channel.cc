@@ -33,7 +33,7 @@ int64_t NowNanos() {
 /// records how far the slowest reader trails it. Callers guard `max`
 /// with their own mutex. One copy of the policy so every transport
 /// (push, pull, and the future spill/NUMA/remote channels) measures the
-/// same signal the adaptive admission thresholds are calibrated to.
+/// same signal the adaptive admission cost model is calibrated to.
 struct LagSampler {
   static constexpr std::size_t kEvery = 8;
 

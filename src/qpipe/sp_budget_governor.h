@@ -136,7 +136,7 @@ class SpBudgetGovernor
 
   /// Budgeting is configured AND the spill store works (creation and
   /// writes have not latched it off) — i.e. the spill tier can actually
-  /// absorb overflow. The adaptive pull+spill preference checks this,
+  /// absorb overflow. The cost model's pull+spill preference checks this,
   /// not enabled(): steering a high-retention session into pull on the
   /// promise of a spill tier that cannot spill would recreate the
   /// unbounded-RAM regime the governor exists to prevent.
@@ -175,9 +175,9 @@ class SpBudgetGovernor
   }
 
   /// Retention net of in-flight async spill writes — the pages that will
-  /// still be resident once queued spill I/O lands. The adaptive spill
-  /// preference reads this view so a burst of in-flight writes does not
-  /// double-count against the budget.
+  /// still be resident once queued spill I/O lands (the view ExcessPages
+  /// sheds against, so a burst of in-flight writes does not double-count
+  /// against the budget).
   std::size_t EffectiveInMemoryPages() const {
     int64_t now =
         in_memory_.load(std::memory_order_relaxed) -

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <mutex>
 
 #include "common/logging.h"
@@ -173,11 +172,6 @@ StageStats Stage::GetStats() const {
   stats.packets_submitted = packets_submitted_.load();
   stats.packets_executed = packets_executed_.load();
   stats.sp_hits = sp_hits_.load();
-  stats.sp_sessions_closed = sp_sessions_closed_.load();
-  stats.sp_satellites_served = sp_satellites_served_.load();
-  stats.sp_pages_produced = sp_pages_produced_.load();
-  stats.sp_lag_accumulated = sp_lag_accumulated_.load();
-  stats.sp_lag_uncapped_accumulated = sp_lag_uncapped_accumulated_.load();
   stats.adaptive_off = adaptive_off_.load();
   stats.adaptive_push = adaptive_push_.load();
   stats.adaptive_pull = adaptive_pull_.load();
@@ -211,42 +205,16 @@ std::vector<Stage::ChannelSnapshot> Stage::ChannelsSnapshot() const {
   return out;
 }
 
-int64_t Stage::RecordSubmissionLocked(uint64_t sig) {
-  const int64_t seq = ++submit_seq_;
-  auto it = last_seen_.find(sig);
-  if (it == last_seen_.end()) {
-    // Bound the popularity map by evicting the least-recently-seen
-    // signature: a long-lived server's hot templates keep their history
-    // while one-off signatures churn through the cold end.
-    const std::size_t capacity =
-        std::max<std::size_t>(1, options_.adaptive.popularity_capacity);
-    while (last_seen_.size() >= capacity) {
-      last_seen_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    lru_.push_front(sig);
-    last_seen_.emplace(sig, Popularity{seq, lru_.begin()});
-    return std::numeric_limits<int64_t>::max();
-  }
-  if (it->second.lru_it != lru_.begin()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  }
-  int64_t gap = seq - it->second.seq;
-  it->second.seq = seq;
-  return gap;
-}
-
 Stage::AdmissionChoice Stage::ChooseAdaptiveMode(
     uint64_t sig, int64_t submissions_since_last_seen) {
-  const AdaptiveSpPolicy& policy = options_.adaptive;
-  if (submissions_since_last_seen > policy.popularity_window) {
+  if (submissions_since_last_seen > SharingCostModel::kPopularityWindow) {
     adaptive_off_.fetch_add(1, std::memory_order_relaxed);
     adaptive_off_cold_.fetch_add(1, std::memory_order_relaxed);
     return AdmissionChoice{SpMode::kOff, "cold", false, 0};
   }
-  // Hot signature: ask its cost model. With enough history the decision
-  // is per-signature — a cheap template and an expensive one on the same
-  // stage get *different* admissions, which stage-wide means cannot do.
+  // Hot signature: ask its cost model. The decision is per-signature — a
+  // cheap template and an expensive one on the same stage get *different*
+  // admissions, which stage-wide means cannot do.
   CostModelEnvironment env;
   env.fifo_capacity = options_.fifo_capacity;
   if (options_.governor != nullptr) {
@@ -254,93 +222,30 @@ Stage::AdmissionChoice Stage::ChooseAdaptiveMode(
     env.spill_usable = options_.governor->usable();
   }
   const CostDecision decision = cost_model_->Decide(sig, env);
-  if (decision.from_model) {
-    AdmissionChoice choice{decision.mode, "model", false,
-                           decision.confidence};
-    switch (decision.mode) {
-      case SpMode::kOff:
-        adaptive_off_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case SpMode::kPush:
-        adaptive_push_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      default:
-        choice.mode = SpMode::kPull;
-        choice.spill_preferred = decision.spill_preferred;
-        adaptive_pull_.fetch_add(1, std::memory_order_relaxed);
-        if (decision.spill_preferred) {
-          adaptive_pull_spill_.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-    }
-    return choice;
-  }
-  return ChooseFallbackMode();
-}
-
-Stage::AdmissionChoice Stage::ChooseFallbackMode() {
-  const AdaptiveSpPolicy& policy = options_.adaptive;
-  const int64_t sessions = sp_sessions_closed_.load(std::memory_order_relaxed);
-  // No session history yet: host with pull, the transport that keeps the
-  // widest attach window and never blocks the producer on a slow copy.
-  bool pull = sessions == 0;
-  bool spill_pull = false;
-  if (!pull) {
-    const double n = static_cast<double>(sessions);
-    const double avg_satellites =
-        static_cast<double>(sp_satellites_served_.load()) / n;
-    const double avg_pages =
-        static_cast<double>(sp_pages_produced_.load()) / n;
-    const double avg_lag = static_cast<double>(sp_lag_accumulated_.load()) / n;
-    // A push session's lag saturates at the FIFO capacity (the producer
-    // blocks there), so cap the trigger at the capacity or the convoy
-    // case could never reach a larger configured threshold.
-    const double lag_threshold =
-        std::min(policy.pull_lag_threshold,
-                 static_cast<double>(options_.fifo_capacity));
-    pull = avg_satellites >= policy.pull_satellite_threshold ||
-           avg_pages >= policy.pull_pages_threshold ||
-           avg_lag >= lag_threshold;
-    // Spill preference: with a memory governor in place, a session whose
-    // closing-lag history predicts retention above the budget is hosted
-    // pull — the spill tier absorbs the overflow to disk — instead of
-    // push (a laggy push satellite convoys the host) or not sharing.
-    // The *uncapped* lag is the right predictor here: it measures the
-    // pages the slowest reader actually left pinned, which the capped
-    // average deliberately hides from the push/pull trade.
-    if (!pull && options_.governor != nullptr && options_.governor->usable()) {
-      const double avg_retention =
-          static_cast<double>(sp_lag_uncapped_accumulated_.load()) / n;
-      // Compare the *effective* retention: spill writes already in
-      // flight are leaving memory the moment they are durable, so
-      // charging the predicted session against the raw history as well
-      // would double-count them against the budget and latch the
-      // preference on for the duration of every async write burst.
-      const double effective_retention =
-          avg_retention -
-          static_cast<double>(options_.governor->SpillsInFlight());
-      if (effective_retention >= policy.spill_retention_factor *
-                                     static_cast<double>(
-                                         options_.governor->budget_pages())) {
-        pull = spill_pull = true;
+  switch (decision.mode) {
+    case SpMode::kOff:
+      adaptive_off_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case SpMode::kPush:
+      adaptive_push_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    default:
+      adaptive_pull_.fetch_add(1, std::memory_order_relaxed);
+      if (decision.spill_preferred) {
+        adaptive_pull_spill_.fetch_add(1, std::memory_order_relaxed);
       }
-    }
+      break;
   }
-  if (pull) {
-    adaptive_pull_.fetch_add(1, std::memory_order_relaxed);
-    if (spill_pull) adaptive_pull_spill_.fetch_add(1, std::memory_order_relaxed);
-    return AdmissionChoice{SpMode::kPull, "fallback", spill_pull, 0};
-  }
-  adaptive_push_.fetch_add(1, std::memory_order_relaxed);
-  return AdmissionChoice{SpMode::kPush, "fallback", false, 0};
+  return AdmissionChoice{decision.mode, "model", decision.spill_preferred,
+                         decision.confidence};
 }
 
 void Stage::RecordSessionClose(uint64_t sig,
                                const SharingChannel::Stats& stats) {
-  // The signature's ring buffer sees the raw session outcome: the lag is
-  // FIFO-capped (the push-convoy signal), the retention is not (the
-  // spill-demand signal) — the same two views the stage-wide fold below
-  // keeps, but attributable to this signature alone.
+  // The signature's ring buffer sees the raw session outcome in two views:
+  // the lag is FIFO-capped (the push-convoy signal — a pull session can
+  // run arbitrarily far ahead of a reader, and that must not read as a
+  // convoy), the retention is not (the spill-demand signal).
   SignatureStats::SessionSample sample;
   sample.satellites = stats.readers_attached > 1
                           ? static_cast<double>(stats.readers_attached - 1)
@@ -350,37 +255,6 @@ void Stage::RecordSessionClose(uint64_t sig,
       std::min(stats.max_consumer_lag, options_.fifo_capacity));
   sample.retention = static_cast<double>(stats.max_consumer_lag);
   cost_model_->RecordSession(sig, sample);
-
-  sp_sessions_closed_.fetch_add(1, std::memory_order_relaxed);
-  if (stats.readers_attached > 1) {
-    sp_satellites_served_.fetch_add(
-        static_cast<int64_t>(stats.readers_attached - 1),
-        std::memory_order_relaxed);
-  }
-  sp_pages_produced_.fetch_add(static_cast<int64_t>(stats.pages_produced),
-                               std::memory_order_relaxed);
-  // Cap each session's lag contribution at the FIFO capacity — the point
-  // where a push host would convoy. Pull sessions can legitimately run
-  // far ahead of their readers (and a mid-production attach starts a
-  // reader arbitrarily far behind); letting that unbounded lag into the
-  // average would latch the policy into pull forever.
-  sp_lag_accumulated_.fetch_add(
-      static_cast<int64_t>(
-          std::min(stats.max_consumer_lag, options_.fifo_capacity)),
-      std::memory_order_relaxed);
-  // The spill preference's retention predictor. Not FIFO-capped (that
-  // cap exists for the push/pull trade above), but saturated at a small
-  // multiple of the budget: the predictor only needs "retention above
-  // budget", and one outlier session (a mid-production attach can lag by
-  // the whole result) must not latch the mean above the threshold for
-  // thousands of sessions.
-  if (options_.governor != nullptr) {
-    const std::size_t saturation =
-        4 * std::max<std::size_t>(1, options_.governor->budget_pages());
-    sp_lag_uncapped_accumulated_.fetch_add(
-        static_cast<int64_t>(std::min(stats.max_consumer_lag, saturation)),
-        std::memory_order_relaxed);
-  }
 }
 
 PageSourceRef Stage::SubmitOrShare(PlanNodeRef node, ExecContextRef ctx,
@@ -397,8 +271,7 @@ PageSourceRef Stage::SubmitOrShare(PlanNodeRef node, ExecContextRef ctx,
     // submissions skip the registry entirely — no lock on that path.)
     std::lock_guard<std::mutex> lock(registry_mutex_);
     if (configured == SpMode::kAdaptive) {
-      gap = RecordSubmissionLocked(sig);
-      cost_model_->RecordArrival(sig, NowMicros());
+      gap = cost_model_->RecordArrival(sig, NowMicros(), ++submit_seq_);
     }
     auto it = channels_.find(sig);
     if (it != channels_.end()) {

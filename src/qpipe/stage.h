@@ -13,21 +13,20 @@
 //  * pull mode (SPL): the satellite attaches a reader to the host's
 //    SharedPagesList and reads the shared pages from the beginning; the
 //    attach window stays open for the host's entire production.
-//  * adaptive mode: the stage picks off/push/pull per packet from live
-//    stats — signature popularity decides *whether* a packet is worth
-//    considering for sharing at all, and the per-signature cost model
-//    (qpipe/cost_model.h: arrival rate, work per packet, satellite
-//    count, result size, consumer lag, spill retention) decides whether
-//    sharing actually pays and *which* transport to host with. While a
-//    signature's history is below cost_model.min_samples the stage-wide
-//    AdaptiveSpPolicy thresholds decide instead.
+//  * adaptive mode: the per-signature cost model (qpipe/cost_model.h)
+//    picks off/push/pull per packet. Its signature LRU decides *whether*
+//    a packet is worth considering for sharing at all (popularity); its
+//    estimate (arrival rate, work per packet, satellite count, result
+//    size, consumer lag, spill retention) decides whether sharing
+//    actually pays and *which* transport to host with. While a
+//    signature's history is below cost_model.min_samples the model's
+//    prior decides: host pull.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,65 +43,12 @@
 
 namespace sharing {
 
-/// Tuning for SpMode::kAdaptive.
-struct AdaptiveSpPolicy {
-  /// A signature is "hot" when it was last submitted within this many
-  /// stage submissions; cold signatures execute unshared (sharing is not
-  /// always a win — hosting a channel costs registry and window
-  /// bookkeeping that a never-matched packet would waste).
-  int64_t popularity_window = 64;
-
-  /// Mean satellites per closed sharing session at/above which hot
-  /// packets host a pull channel: many satellites make the push model's
-  /// producer-serialized copies the bottleneck.
-  double pull_satellite_threshold = 2.0;
-
-  /// Mean pages per closed sharing session at/above which pull is chosen
-  /// (large results make per-satellite copies expensive).
-  double pull_pages_threshold = 64.0;
-
-  /// Mean production-time consumer lag (pages behind the producer,
-  /// sampled while the host is still putting) at/above which pull is
-  /// chosen: laggy consumers stall a push host on FIFO backpressure,
-  /// while pull readers lag without blocking the producer.
-  double pull_lag_threshold = 16.0;
-
-  /// Signatures the popularity map remembers; beyond this the
-  /// least-recently-seen signature is evicted (long-lived servers keep
-  /// hot-signature history instead of shedding everything).
-  std::size_t popularity_capacity = 4096;
-
-  /// Spill preference (only with an SpBudgetGovernor configured): when
-  /// mean *uncapped* closing lag — the retention the session's slowest
-  /// reader forces — exceeds this fraction of the memory budget, the
-  /// packet is hosted pull so the spill tier absorbs the overflow,
-  /// rather than push (whose capped-lag average hides the convoy) or no
-  /// sharing.
-  double spill_retention_factor = 1.0;
-};
-
 /// Per-stage statistics surfaced by the demo GUI (Scenario IV's key metric
 /// is SP opportunities exploited per stage).
 struct StageStats {
   int64_t packets_submitted = 0;
   int64_t packets_executed = 0;  // hosts + unshared
   int64_t sp_hits = 0;           // satellites served without execution
-
-  // Sharing-session history (closed sessions only) — the inputs to the
-  // adaptive policy.
-  int64_t sp_sessions_closed = 0;
-  int64_t sp_satellites_served = 0;
-  int64_t sp_pages_produced = 0;
-  /// Sum over closed sessions of their production-time max consumer lag;
-  /// divide by sp_sessions_closed for the mean ChooseAdaptiveMode
-  /// compares against pull_lag_threshold.
-  int64_t sp_lag_accumulated = 0;
-  /// Like sp_lag_accumulated but not FIFO-capped — the retention (pages
-  /// the slowest reader left pinned) the spill preference compares
-  /// against the governor's budget. Each session's contribution
-  /// saturates at 4x the budget so one extreme laggard cannot latch the
-  /// mean; accumulated only when a governor is configured.
-  int64_t sp_lag_uncapped_accumulated = 0;
 
   // Adaptive admission decisions taken for fresh packets.
   int64_t adaptive_off = 0;
@@ -113,9 +59,9 @@ struct StageStats {
   /// difference adaptive_off - adaptive_off_cold is "hot but sharing
   /// does not pay" — the regime only a cost model can detect.
   int64_t adaptive_off_cold = 0;
-  /// Subset of adaptive_pull chosen by the spill preference: lag history
-  /// predicted retention above the SP memory budget, so the packet was
-  /// hosted pull + spill instead of push.
+  /// Subset of adaptive_pull chosen by the spill preference: the
+  /// signature's retention forecast exceeded the SP memory budget, so the
+  /// packet was hosted pull + spill.
   int64_t adaptive_pull_spill = 0;
 };
 
@@ -143,13 +89,8 @@ class Stage {
     /// and reclamation become batch-granular.
     std::size_t sp_read_batch = 8;
 
-    AdaptiveSpPolicy adaptive;
-
-    /// Per-signature history + cost model behind SpMode::kAdaptive (see
-    /// qpipe/cost_model.h). The popularity window above still gates
-    /// *whether* a signature is worth considering; the model decides
-    /// off/push/pull once a signature has enough history, falling back
-    /// to the stage-wide AdaptiveSpPolicy thresholds below min_samples.
+    /// Per-signature history, popularity and cost model behind
+    /// SpMode::kAdaptive (see qpipe/cost_model.h).
     CostModelOptions cost_model;
 
     /// Engine-wide SP memory governor shared by every stage of an engine;
@@ -240,23 +181,12 @@ class Stage {
                const PreparePacketFn& prepare, bool record_work,
                std::size_t explain_index);
 
-  /// Records a submission of `sig` and returns how many stage submissions
-  /// happened since it was last seen (INT64_MAX for the first sighting).
-  /// Only called in adaptive mode; requires registry_mutex_ held.
-  int64_t RecordSubmissionLocked(uint64_t sig);
-
   /// The adaptive per-packet decision for a fresh (non-attaching) packet:
-  /// popularity gate, then the signature's cost model, then the
-  /// stage-wide threshold fallback while history is thin.
+  /// popularity gate, then the signature's cost model.
   AdmissionChoice ChooseAdaptiveMode(uint64_t sig,
                                      int64_t submissions_since_last_seen);
 
-  /// The stage-wide threshold heuristic — the fallback while a
-  /// signature's history is below cost_model.min_samples.
-  AdmissionChoice ChooseFallbackMode();
-
-  /// Folds a closed channel's stats into the adaptive history (stage-wide
-  /// means and the signature's ring buffer).
+  /// Folds a closed channel's stats into the signature's history.
   void RecordSessionClose(uint64_t sig, const SharingChannel::Stats& stats);
 
   std::string name_;
@@ -276,11 +206,6 @@ class Stage {
   std::atomic<int64_t> packets_executed_{0};
   std::atomic<int64_t> sp_hits_{0};
 
-  std::atomic<int64_t> sp_sessions_closed_{0};
-  std::atomic<int64_t> sp_satellites_served_{0};
-  std::atomic<int64_t> sp_pages_produced_{0};
-  std::atomic<int64_t> sp_lag_accumulated_{0};
-  std::atomic<int64_t> sp_lag_uncapped_accumulated_{0};
   std::atomic<int64_t> adaptive_off_{0};
   std::atomic<int64_t> adaptive_push_{0};
   std::atomic<int64_t> adaptive_pull_{0};
@@ -296,18 +221,8 @@ class Stage {
   mutable std::mutex registry_mutex_;
   /// In-flight sharing sessions by plan signature, transport-agnostic.
   std::unordered_map<uint64_t, SharingChannelRef> channels_;
-  /// Popularity tracking for the adaptive policy, LRU-bounded at
-  /// `adaptive.popularity_capacity`: signature -> {submission sequence
-  /// number when last seen, position in lru_}. lru_ front = most
-  /// recently seen; evicting the back sheds the coldest signature, so a
-  /// long-lived server keeps its hot-template history instead of
-  /// periodically forgetting everything.
-  struct Popularity {
-    int64_t seq;
-    std::list<uint64_t>::iterator lru_it;
-  };
-  std::unordered_map<uint64_t, Popularity> last_seen_;
-  std::list<uint64_t> lru_;
+  /// Adaptive submissions so far: the sequence the cost model measures
+  /// popularity gaps in. Guarded by registry_mutex_.
   int64_t submit_seq_ = 0;
 
   ElasticThreadPool pool_;

@@ -260,12 +260,11 @@ TEST_F(QPipeTest, AdaptiveSharesHotQueriesAndSkipsColdOnes) {
 }
 
 TEST_F(QPipeTest, AdaptivePopularityLruKeepsHotSignaturesUnderColdChurn) {
+  // Sustained cold churn through the engine: the recurring template must
+  // be recognized by the scan stage's cost model on each re-touch while the
+  // one-offs are gated cold. (Eviction itself, at a tiny capacity, is
+  // pinned by SharingCostModelTest.PopularityGapsSurviveColdChurn.)
   QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
-  // A tiny popularity map under sustained cold churn: the LRU must evict
-  // the one-off signatures and keep the recurring template's history.
-  // (The old implementation shed the *entire* map when full, forgetting
-  // the hot template along with the noise.)
-  options.adaptive.popularity_capacity = 4;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
   ASSERT_TRUE(engine.Execute(AggPlan()).ok());  // prime the hot template
@@ -277,13 +276,13 @@ TEST_F(QPipeTest, AdaptivePopularityLruKeepsHotSignaturesUnderColdChurn) {
   }
   StageStats scan = engine.scan_stage()->GetStats();
   // Every hot re-touch recurred within three submissions, so despite 20
-  // distinct cold signatures flooding a 4-entry map the hot template must
-  // still be recognized every time: only the cold one-offs (and the first
-  // hot sighting) may be gated by the popularity window. Whether a
-  // recognized re-touch is then hosted push/pull or judged
-  // not-worth-sharing is the cost model's per-signature call (these
-  // sequential re-touches never overlap, so "unshared" is a legitimate
-  // verdict) — the LRU property under test is the recognition itself.
+  // distinct cold signatures the hot template must be recognized every
+  // time: only the cold one-offs (and the first hot sighting) may be
+  // gated by the popularity window. Whether a recognized re-touch is
+  // then hosted push/pull or judged not-worth-sharing is the cost
+  // model's per-signature call (these sequential re-touches never
+  // overlap, so "unshared" is a legitimate verdict) — the LRU property
+  // under test is the recognition itself.
   EXPECT_EQ(scan.adaptive_off_cold, 2 * kRounds + 1);
   const int64_t hot_decisions = scan.adaptive_push + scan.adaptive_pull +
                                 (scan.adaptive_off - scan.adaptive_off_cold);

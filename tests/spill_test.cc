@@ -2,7 +2,7 @@
 // SpBudgetGovernor's spill/unspill round trip, graceful degradation on an
 // unusable spill store, the engine-level budget acceptance criterion
 // (stalled reader: in-memory retention <= budget, bit-exact fault-back,
-// all spill bytes freed after drain), and the adaptive policy's
+// all spill bytes freed after drain), and the adaptive cost model's
 // pull+spill preference.
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "qpipe/engine.h"
 #include "qpipe/sharing_channel.h"
@@ -343,61 +344,66 @@ TEST_F(SpillEngineTest, CancelledStalledReaderFreesSpill) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive policy: pull+spill preference
+// Adaptive admission: the cost model's pull+spill preference
 // ---------------------------------------------------------------------------
 
 TEST_F(SpillEngineTest, AdaptivePrefersPullSpillWhenRetentionExceedsBudget) {
-  // Every classic pull trigger is parked out of reach, so only the spill
-  // preference can choose pull once history exists.
+  // One session of history is enough for the model to price the
+  // signature. The default FIFO capacity lets the capped lag price the
+  // push convoy, and a 4-page budget puts the retention forecast far
+  // beyond what memory holds.
+  constexpr int kSatellites = 6;
   QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
-  options.adaptive.pull_satellite_threshold = 1e12;
-  options.adaptive.pull_pages_threshold = 1e12;
-  options.adaptive.pull_lag_threshold = 1e12;
-  // Deep FIFOs keep the capped-lag convoy rule (threshold = capacity) out
-  // of reach, so the decision isolates the spill preference.
-  options.fifo_capacity = 4096;
+  options.cost_model_min_samples = 1;
   options.sp_memory_budget = 4;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
-  // Session 1 (no history -> pull): the submit-then-collect pattern keeps
-  // the host's own reader behind production, so the closing stats record
-  // an uncapped lag far above the 4-page budget.
-  QueryHandle h1 = engine.Submit(ScanPlan());
-  QueryHandle h2 = engine.Submit(ScanPlan());
-  ASSERT_TRUE(h1.Collect().ok());
-  ASSERT_TRUE(h2.Collect().ok());
-  AwaitProduction();
+  // A first sighting is cold (executed unshared); it makes the signature
+  // hot for the sessions below.
+  ASSERT_TRUE(engine.Execute(ScanPlan()).ok());
 
-  // Session 2: history predicts retention above budget -> pull + spill.
-  QueryHandle h3 = engine.Submit(ScanPlan());
-  ASSERT_TRUE(h3.Collect().ok());
+  // Submits a host plus kSatellites twins, then drains them in order: the
+  // undrained satellites trail the producer by the whole result.
+  auto run_session = [&] {
+    std::vector<QueryHandle> handles;
+    for (int i = 0; i <= kSatellites; ++i) {
+      handles.push_back(engine.Submit(ScanPlan()));
+    }
+    std::vector<ResultSet> results;
+    for (auto& h : handles) {
+      auto r = h.Collect();
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) results.push_back(std::move(r).value());
+    }
+    AwaitProduction();
+    return results;
+  };
+
+  // Session 1: thin history, so the prior hosts pull and the closing
+  // stats record six satellites, a convoy-length capped lag and an
+  // uncapped retention far above the budget.
+  run_session();
+  // Session 2: the model prices that history — push would convoy and
+  // copy every page six times; pull pays spill round trips instead.
+  const std::vector<ResultSet> results = run_session();
+
   StageStats scan = engine.scan_stage()->GetStats();
   EXPECT_GT(scan.adaptive_pull_spill, 0)
       << "predicted retention above budget must be admitted pull+spill";
   EXPECT_EQ(scan.adaptive_push, 0);
-}
-
-TEST_F(SpillEngineTest, WithoutGovernorSameHistoryFallsBackToPush) {
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
-  options.adaptive.pull_satellite_threshold = 1e12;
-  options.adaptive.pull_pages_threshold = 1e12;
-  options.adaptive.pull_lag_threshold = 1e12;
-  options.fifo_capacity = 4096;
-  // No sp_memory_budget: the spill preference is inert.
-  QPipeEngine engine(db_->catalog(), options, db_->metrics());
-
-  QueryHandle h1 = engine.Submit(ScanPlan());
-  QueryHandle h2 = engine.Submit(ScanPlan());
-  ASSERT_TRUE(h1.Collect().ok());
-  ASSERT_TRUE(h2.Collect().ok());
-  AwaitProduction();
-
-  QueryHandle h3 = engine.Submit(ScanPlan());
-  ASSERT_TRUE(h3.Collect().ok());
-  StageStats scan = engine.scan_stage()->GetStats();
-  EXPECT_EQ(scan.adaptive_pull_spill, 0);
-  EXPECT_GT(scan.adaptive_push, 0)
-      << "without a governor the capped-lag history chooses push";
+  bool explained = false;
+  for (const ResultSet& r : results) {
+    ASSERT_NE(r.explain(), nullptr);
+    for (const auto& stage : r.explain()->stages) {
+      if (stage.spill_preferred) {
+        explained = true;
+        EXPECT_STREQ(stage.decided_by, "model");
+        EXPECT_GT(stage.confidence, 0.0);
+      }
+    }
+  }
+  EXPECT_TRUE(explained)
+      << "the pull+spill admission must show in the host's explain record";
 }
 
 }  // namespace

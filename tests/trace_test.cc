@@ -256,9 +256,10 @@ TEST_F(TraceTest, DisabledPathAllocatesNothing) {
 
 /// A serially dependent LCG chain: cannot be vectorized or folded away,
 /// so one iteration is a stable ~hundreds-of-cycles work unit that
-/// dwarfs the disabled span's relaxed-load-and-branch.
-int64_t WorkUnit(int64_t seed) {
-  int64_t acc = seed;
+/// dwarfs the disabled span's relaxed-load-and-branch. Unsigned, so the
+/// wraparound is defined.
+uint64_t WorkUnit(uint64_t seed) {
+  uint64_t acc = seed;
   for (int i = 0; i < 1024; ++i) acc = acc * 1664525 + 1013904223;
   return acc;
 }
@@ -267,7 +268,7 @@ TEST_F(TraceTest, DisabledOverheadUnderTwoPercent) {
   Trace::Disable();
   constexpr int kIterations = 10000;
   constexpr int kTrials = 9;
-  volatile int64_t sink = 0;
+  volatile uint64_t sink = 0;
 
   // Min-of-N on interleaved trials: the minimum is the noise-free
   // estimate of each loop's true cost on this machine.
