@@ -336,8 +336,15 @@ void CJoinPipeline::DriverLoop() {
                     return q->dispatches_left <= 0;
                   });
 
-    workers_->Submit([this, task] {
+    // A fact table larger than the pool misses on every page of every
+    // cycle under the clock, which is LRU-like; releasing each consumed
+    // page as the next victim (MRU) keeps a stable subset resident and
+    // leaves the dimension pages alone (DESIGN.md decision #16).
+    const bool release_as_next_victim =
+        fact_->num_pages() > fact_->buffer_pool()->num_frames();
+    workers_->Submit([this, task, release_as_next_victim] {
       ProcessPage(task);
+      if (release_as_next_victim) task->guard.ReleaseAsNextVictim();
       {
         std::lock_guard<std::mutex> lock(inflight_mutex_);
         --inflight_;

@@ -47,7 +47,15 @@ uint8_t* PageGuard::mutable_data() {
 
 void PageGuard::Release() {
   if (pool_ != nullptr) {
-    pool_->Unpin(frame_index_);
+    pool_->Unpin(frame_index_, /*as_next_victim=*/false);
+    pool_ = nullptr;
+    data_ = nullptr;
+  }
+}
+
+void PageGuard::ReleaseAsNextVictim() {
+  if (pool_ != nullptr) {
+    pool_->Unpin(frame_index_, /*as_next_victim=*/true);
     pool_ = nullptr;
     data_ = nullptr;
   }
@@ -66,8 +74,10 @@ BufferPool::BufferPool(DiskManager* disk, std::size_t num_frames,
       evictions_(metrics->GetCounter(metrics::kBufferPoolEvictions)) {
   SHARING_CHECK(num_frames > 0);
   frames_.resize(num_frames);
-  for (auto& f : frames_) {
-    f.data = std::make_unique<uint8_t[]>(kPageBytes);
+  free_frames_.reserve(num_frames);
+  for (std::size_t i = num_frames; i > 0; --i) {
+    frames_[i - 1].data = std::make_unique<uint8_t[]>(kPageBytes);
+    free_frames_.push_back(i - 1);
   }
 }
 
@@ -78,15 +88,50 @@ BufferPool::~BufferPool() {
   }
 }
 
+void BufferPool::PushVictim(std::size_t frame_index) {
+  Frame& f = frames_[frame_index];
+  SHARING_DCHECK(!f.on_victim_list);
+  f.ref = false;
+  f.on_victim_list = true;
+  f.prev = kNoFrame;
+  f.next = victim_head_;
+  if (victim_head_ != kNoFrame) frames_[victim_head_].prev = frame_index;
+  victim_head_ = frame_index;
+}
+
+void BufferPool::UnlinkVictim(std::size_t frame_index) {
+  Frame& f = frames_[frame_index];
+  if (!f.on_victim_list) return;
+  if (f.prev != kNoFrame) {
+    frames_[f.prev].next = f.next;
+  } else {
+    victim_head_ = f.next;
+  }
+  if (f.next != kNoFrame) frames_[f.next].prev = f.prev;
+  f.on_victim_list = false;
+  f.prev = kNoFrame;
+  f.next = kNoFrame;
+}
+
 std::size_t BufferPool::FindVictim() {
+  if (!free_frames_.empty()) {
+    std::size_t idx = free_frames_.back();
+    free_frames_.pop_back();
+    return idx;
+  }
+  if (victim_head_ != kNoFrame) {
+    std::size_t idx = victim_head_;
+    UnlinkVictim(idx);
+    return idx;
+  }
   // Two full sweeps: the first clears reference bits, the second takes the
-  // first unpinned frame.
+  // first unpinned frame. Every free frame is on free_frames_, so the sweep
+  // only meets loading and ready ones.
   for (std::size_t step = 0; step < 2 * frames_.size(); ++step) {
     Frame& f = frames_[clock_hand_];
     std::size_t idx = clock_hand_;
     clock_hand_ = (clock_hand_ + 1) % frames_.size();
-    if (f.state == FrameState::kFree) return idx;
-    if (f.state == FrameState::kLoading || f.pin_count > 0) continue;
+    if (f.state != FrameState::kReady || f.pin_count > 0) continue;
     if (f.ref) {
       f.ref = false;
       continue;
@@ -100,24 +145,28 @@ Status BufferPool::PrepareFrame(std::size_t frame_index, PageId new_page,
                                 std::unique_lock<std::mutex>& lock) {
   Frame& f = frames_[frame_index];
   if (f.state == FrameState::kReady) {
-    // Evict current occupant; write back while the frame is protected by
-    // the kLoading state (pin-count zero is guaranteed by FindVictim).
-    PageId old_page = f.page_id;
-    bool dirty = f.dirty;
-    f.state = FrameState::kLoading;
-    page_table_.erase(old_page);
-    evictions_->Increment();
-    if (dirty) {
+    // Evict the current occupant (pin count zero is guaranteed by
+    // FindVictim). A dirty one is written back while both page ids map to
+    // the frame in kLoading state: a fetch of either waits instead of
+    // reading the old page's stale disk copy or loading a second frame.
+    const PageId old_page = f.page_id;
+    if (f.dirty) {
+      f.state = FrameState::kLoading;
+      page_table_[new_page] = frame_index;
       lock.unlock();
       Status st = disk_->WritePage(old_page, f.data.get());
       lock.lock();
       if (!st.ok()) {
-        f.state = FrameState::kFree;
-        f.page_id = kInvalidPageId;
+        // The frame holds the only current copy of old_page: keep it
+        // resident and dirty, and fail the caller instead.
+        page_table_.erase(new_page);
+        f.state = FrameState::kReady;
         io_cv_.notify_all();
         return st;
       }
     }
+    page_table_.erase(old_page);
+    evictions_->Increment();
   }
   f.state = FrameState::kLoading;
   f.page_id = new_page;
@@ -146,6 +195,7 @@ StatusOr<PageGuard> BufferPool::FetchPage(PageId id) {
         io_cv_.wait(lock);
         continue;  // re-lookup: the load may have failed
       }
+      UnlinkVictim(it->second);
       ++f.pin_count;
       f.ref = true;
       hits_->Increment();
@@ -177,6 +227,7 @@ StatusOr<PageGuard> BufferPool::FetchPage(PageId id) {
       f.pin_count = 0;
       f.page_id = kInvalidPageId;
       page_table_.erase(id);
+      free_frames_.push_back(victim);
       io_cv_.notify_all();
       return st;
     }
@@ -226,12 +277,15 @@ StatusOr<std::size_t> BufferPool::EvictAll() {
   SHARING_RETURN_NOT_OK(FlushAll());
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t evicted = 0;
-  for (auto& f : frames_) {
+  for (std::size_t i = 0; i < frames_.size(); ++i) {
+    Frame& f = frames_[i];
     if (f.state != FrameState::kReady || f.pin_count > 0 || f.dirty) continue;
+    UnlinkVictim(i);
     page_table_.erase(f.page_id);
     f.state = FrameState::kFree;
     f.page_id = kInvalidPageId;
     f.ref = false;
+    free_frames_.push_back(i);
     evictions_->Increment();
     ++evicted;
   }
@@ -241,14 +295,20 @@ StatusOr<std::size_t> BufferPool::EvictAll() {
 void BufferPool::MarkDirty(PageId page_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = page_table_.find(page_id);
-  if (it != page_table_.end()) frames_[it->second].dirty = true;
+  if (it == page_table_.end()) return;
+  UnlinkVictim(it->second);
+  frames_[it->second].dirty = true;
 }
 
-void BufferPool::Unpin(std::size_t frame_index) {
+void BufferPool::Unpin(std::size_t frame_index, bool as_next_victim) {
   std::lock_guard<std::mutex> lock(mutex_);
   Frame& f = frames_[frame_index];
   SHARING_DCHECK(f.pin_count > 0);
   --f.pin_count;
+  if (as_next_victim && f.pin_count == 0 && f.state == FrameState::kReady &&
+      !f.dirty) {
+    PushVictim(frame_index);
+  }
 }
 
 BufferPoolStats BufferPool::GetStats() const {

@@ -1,6 +1,13 @@
 // BufferPool: fixed set of page frames over a DiskManager, clock eviction,
 // pin/unpin via RAII guards.
 //
+// Victim order: a free frame first, then the head of the *victim list*,
+// then the clock sweep. The victim list holds frames whose last pin was
+// dropped with PageGuard::ReleaseAsNextVictim(), most recently released
+// first (MRU). A circular scan of a table larger than the pool releases
+// its consumed pages that way, so the cycle recycles the frame it just
+// finished with instead of flooding the pool (DESIGN.md decision #16).
+//
 // Residency policy (DESIGN.md decision #5): memory-resident experiments
 // configure at least as many frames as data pages and a zero-latency disk;
 // disk-resident experiments cap frames below the working set and enable the
@@ -45,6 +52,13 @@ class PageGuard {
 
   /// Drops the pin early (idempotent).
   void Release();
+
+  /// Drops the pin and, if it was the last one on a clean page, makes the
+  /// frame the pool's next eviction victim (ahead of the clock sweep).
+  /// For pages a looping scan has finished with and will not need again
+  /// before the pool has cycled. A later fetch of the page by anyone takes
+  /// it off the victim list. Idempotent, like Release().
+  void ReleaseAsNextVictim();
 
  private:
   BufferPool* pool_ = nullptr;
@@ -99,6 +113,8 @@ class BufferPool {
 
   enum class FrameState : uint8_t { kFree, kLoading, kReady };
 
+  static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);
+
   struct Frame {
     std::unique_ptr<uint8_t[]> data;
     PageId page_id = kInvalidPageId;
@@ -106,17 +122,28 @@ class BufferPool {
     bool ref = false;  // clock reference bit
     bool dirty = false;
     FrameState state = FrameState::kFree;
+    // Victim-list links. Only unpinned, clean, ready frames are linked.
+    bool on_victim_list = false;
+    std::size_t prev = kNoFrame;
+    std::size_t next = kNoFrame;
   };
 
-  void Unpin(std::size_t frame_index);
+  void Unpin(std::size_t frame_index, bool as_next_victim);
 
-  /// Finds an unpinned victim frame with the clock sweep. Called with
-  /// `mutex_` held; returns frames_.size() when everything is pinned.
+  /// Picks the frame to (re)use: a free one, else the victim-list head,
+  /// else the clock sweep's choice. Called with `mutex_` held; returns
+  /// frames_.size() when everything is pinned or loading.
   std::size_t FindVictim();
+
+  /// Victim-list maintenance, with `mutex_` held. Unlink is a no-op for a
+  /// frame that is not on the list.
+  void PushVictim(std::size_t frame_index);
+  void UnlinkVictim(std::size_t frame_index);
 
   /// Evicts `frame` (writing back if dirty) and binds it to `new_page`,
   /// leaving it in kLoading state with one pin. Called with `mutex_` held;
-  /// may release and reacquire it around I/O.
+  /// may release and reacquire it around I/O. If the write-back fails the
+  /// old page stays resident, dirty and mapped, and the error is returned.
   Status PrepareFrame(std::size_t frame_index, PageId new_page,
                       std::unique_lock<std::mutex>& lock);
 
@@ -131,6 +158,11 @@ class BufferPool {
   std::vector<Frame> frames_;
   std::unordered_map<PageId, std::size_t> page_table_;
   std::size_t clock_hand_ = 0;
+  // Every kFree frame, reserved to num_frames so pushes never allocate.
+  // Taken before the victim list: a scan that pushes its consumed pages
+  // would otherwise reuse one frame forever and never fill a cold pool.
+  std::vector<std::size_t> free_frames_;
+  std::size_t victim_head_ = kNoFrame;  // most recently released
 };
 
 }  // namespace sharing

@@ -30,15 +30,19 @@ using testing::MakeTestDatabase;
 /// dim2(k, tag, weight).
 class CJoinTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    db_ = MakeTestDatabase();
+  void SetUp() override { BuildStar(/*frames=*/16384, /*fact_rows=*/4000); }
+
+  /// (Re)creates the database with `frames` buffer-pool frames and the
+  /// star schema with `fact_rows` fact rows (32-byte rows, 255 a page).
+  void BuildStar(std::size_t frames, int64_t fact_rows) {
+    db_ = MakeTestDatabase(frames);
 
     Schema fact({Column::Int64("id"), Column::Int64("d1k"),
                  Column::Int64("d2k"), Column::Double("v")});
     auto f = db_->catalog()->CreateTable("fact", fact, db_->buffer_pool());
     ASSERT_TRUE(f.ok());
     TableAppender fa(f.value());
-    for (int64_t i = 0; i < 4000; ++i) {
+    for (int64_t i = 0; i < fact_rows; ++i) {
       auto row = fa.AppendRow();
       ASSERT_TRUE(row.ok());
       row.value()
@@ -428,6 +432,66 @@ TEST_F(CJoinPrefetchTest, ConcurrentStarsFromColdCacheMatchReference) {
   }
   EXPECT_GT(db_->metrics()->GetCounter(metrics::kIoReadsIssued)->Get(), 0)
       << "the fact driver must issue scheduler readahead";
+}
+
+TEST_F(CJoinPrefetchTest, FactTableLargerThanPoolLeavesDimensionsResident) {
+  constexpr int64_t kFactRows = 8000;
+  BuildStar(/*frames=*/24, kFactRows);
+  db_->SetDiskResident(/*read_latency_micros=*/50, /*bandwidth_mib=*/1500);
+  BufferPool* pool = db_->buffer_pool();
+  const Table* fact = db_->catalog()->GetTable("fact").value();
+  ASSERT_GT(fact->num_pages(), pool->num_frames());
+
+  constexpr int kQueries = 9;
+  std::vector<PlanNodeRef> plans;
+  std::vector<ResultSet> wants;
+  for (int q = 0; q < kQueries; ++q) {
+    plans.push_back(q % 3 == 0 ? OneDimPlan(q % 4)
+                               : TwoDimPlan(1000 + 800 * q));
+    wants.push_back(Reference(plans.back()));
+  }
+  ASSERT_TRUE(pool->EvictAll().ok());
+
+  auto scheduler = MakeScheduler();
+  CJoinOptions options;
+  options.max_queries = 3;  // 9 queries, 3 at a time: >= 3 fact cycles
+  auto pipeline = std::make_unique<CJoinPipeline>(
+      db_->catalog(), "fact", Levels(), options, db_->metrics(), scheduler,
+      /*prefetch_depth=*/4);
+  Counter* fact_tuples =
+      db_->metrics()->GetCounter(metrics::kCjoinFactTuplesIn);
+  const int64_t tuples_before = fact_tuples->Get();
+
+  std::vector<StatusOr<ResultSet>> gots(kQueries, Status::Aborted("not run"));
+  std::vector<std::thread> threads;
+  for (int q = 0; q < kQueries; ++q) {
+    threads.emplace_back(
+        [&, q] { gots[q] = RunThroughCJoin(pipeline.get(), plans[q]); });
+  }
+  for (auto& t : threads) t.join();
+  for (int q = 0; q < kQueries; ++q) {
+    ASSERT_TRUE(gots[q].ok()) << gots[q].status().ToString();
+    ExpectResultsEquivalent(wants[q], gots[q].value(),
+                            "query " + std::to_string(q));
+  }
+  EXPECT_GE(fact_tuples->Get() - tuples_before, 3 * kFactRows);
+
+  // Quiesce: no readahead may still be touching the pool.
+  pipeline.reset();
+  scheduler->Shutdown();
+
+  // A second admission wave scans each dimension under the epoch lock
+  // (DimensionHashTable::AdmitQuery). The fact cycles recycled their own
+  // frames, so those scans must not miss once.
+  const int64_t misses_before = pool->GetStats().misses;
+  for (const CJoinLevelSpec& level : Levels()) {
+    const Table* dim = db_->catalog()->GetTable(level.dim_table).value();
+    DimensionHashTable ht(dim, level.pk_col_in_dim, options.max_queries);
+    ASSERT_TRUE(ht.AdmitQuery(0, *TruePredicate()).ok());
+    EXPECT_GT(ht.NumEntries(), 0u);
+  }
+  EXPECT_EQ(pool->GetStats().misses, misses_before)
+      << "dimension pages were evicted by the fact cycle";
 }
 
 TEST_F(CJoinPrefetchTest, TeardownCancelsQueuedReadahead) {

@@ -8,6 +8,7 @@
 #include <set>
 #include <thread>
 
+#include "common/fault.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "storage/buffer_pool.h"
@@ -291,6 +292,149 @@ TEST_F(BufferPoolTest, ConcurrentFetchesOfSamePage) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok_count.load(), 8 * 200);
+}
+
+TEST_F(BufferPoolTest, FailedWriteBackKeepsTheDirtyPage) {
+  BufferPool pool(disk_.get(), 1, &metrics_);
+  PageId a = NewFilledPage(&pool, 0xA5);  // resident and dirty
+  ASSERT_TRUE(FaultRegistry::Global().Arm("disk.write=once").ok());
+  PageId b;
+  auto gb = pool.NewPage(8, &b);  // must evict `a`: the write-back fails
+  FaultRegistry::Global().Disarm();
+  EXPECT_EQ(gb.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(pool.GetStats().evictions, 0);
+  {
+    auto ga = pool.FetchPage(a);
+    ASSERT_TRUE(ga.ok()) << ga.status().ToString();
+    EXPECT_EQ(page_layout::RowAt(ga.value().data(), 0)[0], 0xA5);
+  }
+  // The retried eviction writes it back; the bytes survive the round trip.
+  ASSERT_TRUE(pool.NewPage(8, &b).ok());
+  auto ga = pool.FetchPage(a);
+  ASSERT_TRUE(ga.ok()) << ga.status().ToString();
+  EXPECT_EQ(page_layout::RowAt(ga.value().data(), 0)[0], 0xA5);
+}
+
+/// A table of `n` flushed pages whose single row is filled with the page's
+/// index, written through a throwaway pool so the pool under test starts
+/// cold.
+std::vector<PageId> MakeFlushedPages(DiskManager* disk, std::size_t n) {
+  MetricsRegistry metrics;
+  BufferPool writer(disk, 4, &metrics);
+  std::vector<PageId> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    PageId id;
+    auto g = writer.NewPage(/*row_width=*/8, &id);
+    EXPECT_TRUE(g.ok());
+    std::memset(page_layout::AppendRow(g.value().mutable_data(), kPageBytes),
+                static_cast<int>(i), 8);
+    ids.push_back(id);
+  }
+  EXPECT_TRUE(writer.FlushAll().ok());
+  return ids;
+}
+
+TEST_F(BufferPoolTest, VictimListKeepsALoopingScanResident) {
+  constexpr std::size_t kFrames = 16;
+  const std::vector<PageId> table = MakeFlushedPages(disk_.get(), 2 * kFrames);
+  const int64_t n = static_cast<int64_t>(table.size());
+  // Four cycles over the table; returns the misses of each.
+  auto cycle_misses = [&](BufferPool* pool, bool as_next_victim) {
+    std::vector<int64_t> misses;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      const int64_t before = pool->GetStats().misses;
+      for (std::size_t p = 0; p < table.size(); ++p) {
+        auto g = pool->FetchPage(table[p]);
+        EXPECT_TRUE(g.ok());
+        EXPECT_EQ(page_layout::RowAt(g.value().data(), 0)[0],
+                  static_cast<uint8_t>(p));
+        if (as_next_victim) g.value().ReleaseAsNextVictim();
+      }
+      misses.push_back(pool->GetStats().misses - before);
+    }
+    return misses;
+  };
+
+  {
+    // The flood: under the clock alone a loop over 2x the frames misses
+    // on every page of every cycle.
+    MetricsRegistry metrics;
+    BufferPool pool(disk_.get(), kFrames, &metrics);
+    for (int64_t m : cycle_misses(&pool, false)) EXPECT_EQ(m, n);
+  }
+  MetricsRegistry metrics;
+  BufferPool pool(disk_.get(), kFrames, &metrics);
+  std::vector<int64_t> misses = cycle_misses(&pool, true);
+  EXPECT_EQ(misses[0], n);
+  for (int cycle = 1; cycle < 4; ++cycle) {
+    EXPECT_LE(misses[cycle], n - static_cast<int64_t>(kFrames) + 8)
+        << "cycle " << cycle;
+  }
+}
+
+TEST_F(BufferPoolTest, ReReferencedPageLeavesTheVictimList) {
+  const std::vector<PageId> pages = MakeFlushedPages(disk_.get(), 5);
+  BufferPool pool(disk_.get(), 4, &metrics_);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(pool.FetchPage(pages[i]).ok());
+  // Pages 0 then 1 are released as next victims: the list is [1, 0].
+  pool.FetchPage(pages[0]).value().ReleaseAsNextVictim();
+  pool.FetchPage(pages[1]).value().ReleaseAsNextVictim();
+  // Another reader fetches page 1 again before any eviction.
+  ASSERT_TRUE(pool.FetchPage(pages[1]).ok());
+  ASSERT_TRUE(pool.FetchPage(pages[4]).ok());
+  EXPECT_TRUE(pool.IsResident(pages[1]));
+  EXPECT_FALSE(pool.IsResident(pages[0])) << "page 0 was the next victim";
+  EXPECT_TRUE(pool.IsResident(pages[2]));
+  EXPECT_TRUE(pool.IsResident(pages[3]));
+}
+
+TEST_F(BufferPoolTest, PinnedAndDirtyFramesNeverReachTheVictimList) {
+  const std::vector<PageId> pages = MakeFlushedPages(disk_.get(), 4);
+  BufferPool pool(disk_.get(), 2, &metrics_);
+  // A cold pool hands out frames in order, so page 1 sits under the clock
+  // hand: the clock alone would evict it, and page 0 survives unless it
+  // (wrongly) went onto the victim list.
+  ASSERT_TRUE(pool.FetchPage(pages[1]).ok());
+  {
+    auto first = pool.FetchPage(pages[0]);
+    auto second = pool.FetchPage(pages[0]);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok());
+    first.value().ReleaseAsNextVictim();  // still pinned by `second`
+  }
+  ASSERT_TRUE(pool.FetchPage(pages[2]).ok());
+  EXPECT_TRUE(pool.IsResident(pages[0])) << "a pinned hint must be dropped";
+  EXPECT_FALSE(pool.IsResident(pages[1]));
+
+  // The hand now points at page 0's frame; page 2 is made dirty and hinted.
+  {
+    auto dirty = pool.FetchPage(pages[2]);
+    ASSERT_TRUE(dirty.ok());
+    dirty.value().mutable_data();
+    dirty.value().ReleaseAsNextVictim();
+  }
+  ASSERT_TRUE(pool.FetchPage(pages[3]).ok());
+  EXPECT_TRUE(pool.IsResident(pages[2])) << "a dirty hint must be dropped";
+  EXPECT_FALSE(pool.IsResident(pages[0]));
+}
+
+TEST_F(BufferPoolTest, PageEvictedOffTheVictimListIsReReadExactly) {
+  const std::vector<PageId> pages = MakeFlushedPages(disk_.get(), 3);
+  BufferPool pool(disk_.get(), 2, &metrics_);
+  std::vector<uint8_t> before(kPageBytes);
+  {
+    auto g = pool.FetchPage(pages[0]);
+    ASSERT_TRUE(g.ok());
+    std::memcpy(before.data(), g.value().data(), kPageBytes);
+    g.value().ReleaseAsNextVictim();
+  }
+  ASSERT_TRUE(pool.FetchPage(pages[1]).ok());  // a free frame
+  ASSERT_TRUE(pool.FetchPage(pages[2]).ok());  // evicts page 0
+  EXPECT_FALSE(pool.IsResident(pages[0]));
+  EXPECT_TRUE(pool.IsResident(pages[1]));
+  auto g = pool.FetchPage(pages[0]);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(std::memcmp(before.data(), g.value().data(), kPageBytes), 0);
 }
 
 // ---------------------------------------------------------------------------
