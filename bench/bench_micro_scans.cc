@@ -8,17 +8,19 @@
 // time and physical page reads — the paper's point is that shared scans
 // keep reads ~flat as scanners grow.
 //
-// A second section reports the query-centric operator kernels' rows/s
-// (scan with filter, hash-join build and probe, hash aggregate on Q1 and
-// on a high-cardinality group-by) over memory-resident TPC-H lineitem
-// sized by SHARING_BENCH_SF. SHARING_BENCH_JSON=<path> emits them as a
-// {"bench": "kernels"} row plus the metrics row.
+// A second section reports the operator kernels' rows/s (scan with
+// filter, hash-join build and probe, hash aggregate on Q1 and on a
+// high-cardinality group-by, and one CJOIN level's probe) over
+// memory-resident TPC-H lineitem sized by SHARING_BENCH_SF.
+// SHARING_BENCH_JSON=<path> emits them as a {"bench": "kernels"} row plus
+// the metrics row.
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "cjoin/dimension_table.h"
 #include "common/trace.h"
 #include "exec/operators.h"
 #include "storage/circular_scan.h"
@@ -98,6 +100,8 @@ struct KernelRates {
   double scan_filter = 0, join_build = 0, join_probe = 0;
   double agg_q1 = 0, agg_high_card = 0;
   int64_t agg_high_card_groups = 0;
+  double cjoin_probe = 0;
+  int64_t cjoin_probe_survivors = 0;
 };
 
 /// Times each query-centric kernel on one thread over pre-materialized
@@ -204,6 +208,40 @@ KernelRates MeasureKernels(Database* db) {
       BestSeconds(kTrials, [&] { run_join(probe_rows); });
   r.join_probe = per_second(TotalRows(probe_rows),
                             std::max(with_probe - build_only, 1e-9));
+
+  // CJOIN probe: one level of the shared hash-join chain over the same
+  // l_suppkey rows — the flat dimension table's key lookup plus the AND of
+  // the fact row's bitmap with the matched row's — with 32 queries of
+  // varied selectivity admitted on the supplier level.
+  DimensionHashTable level(supp, 0, /*max_queries=*/64);
+  for (int64_t q = 0; q < 32; ++q) {
+    auto sel = level.Select(*Cmp(
+        CmpOp::kEq,
+        Arith(ArithOp::kMod, Col(0, ValueType::kInt64), Lit(q % 8 + 2)),
+        Lit(int64_t{0})));
+    SHARING_CHECK_OK(sel.status());
+    level.Grant(static_cast<std::size_t>(q), sel.value());
+  }
+  constexpr uint64_t kAdmitted = (uint64_t{1} << 32) - 1;
+  r.cjoin_probe = per_second(
+      TotalRows(probe_rows), BestSeconds(kTrials, [&] {
+        const uint64_t pass = level.AllRowsBits(0) | level.NeutralBits(0);
+        int64_t survivors = 0;
+        for (const PageRef& page : probe_rows) {
+          const std::size_t n = page->row_count();
+          for (std::size_t i = 0; i < n; ++i) {
+            int64_t fk;
+            std::memcpy(&fk, page->RowAt(i), sizeof(fk));
+            const uint32_t id = level.Find(fk);
+            const uint64_t bits =
+                id == DimensionHashTable::kNoRow
+                    ? 0
+                    : kAdmitted & (level.RowBits(id, 0) | pass);
+            survivors += bits != 0;
+          }
+        }
+        r.cjoin_probe_survivors = survivors;
+      }));
   return r;
 }
 
@@ -346,9 +384,11 @@ int main() {
   const KernelRates k = MeasureKernels(kernel_db.get());
   std::printf("\n");
   PrintHeader("Operator kernels: rows/s (memory-resident, one thread)");
-  std::printf("lineitem: %lld rows; high-cardinality groups: %lld\n",
+  std::printf("lineitem: %lld rows; high-cardinality groups: %lld; "
+              "CJOIN probe survivors: %lld\n",
               static_cast<long long>(k.lineitem_rows),
-              static_cast<long long>(k.agg_high_card_groups));
+              static_cast<long long>(k.agg_high_card_groups),
+              static_cast<long long>(k.cjoin_probe_survivors));
   std::printf("%-26s %14s\n", "kernel", "Mrows/s");
   const std::pair<const char*, double> rows[] = {
       {"scan+filter (Q1)", k.scan_filter},
@@ -356,6 +396,7 @@ int main() {
       {"hash-join probe", k.join_probe},
       {"hash-agg Q1 (4 groups)", k.agg_q1},
       {"hash-agg by l_orderkey", k.agg_high_card},
+      {"cjoin probe (32 queries)", k.cjoin_probe},
   };
   for (const auto& [name, rate] : rows) {
     std::printf("%-26s %14.2f\n", name, rate / 1e6);
@@ -375,10 +416,12 @@ int main() {
                  "\"join_probe_rows_per_s\": %.0f, "
                  "\"agg_q1_rows_per_s\": %.0f, "
                  "\"agg_high_card_rows_per_s\": %.0f, "
-                 "\"agg_high_card_groups\": %lld}",
+                 "\"agg_high_card_groups\": %lld, "
+                 "\"cjoin_probe_rows_per_s\": %.0f}",
                  static_cast<long long>(k.lineitem_rows), k.scan_filter,
                  k.join_build, k.join_probe, k.agg_q1, k.agg_high_card,
-                 static_cast<long long>(k.agg_high_card_groups));
+                 static_cast<long long>(k.agg_high_card_groups),
+                 k.cjoin_probe);
     first = false;
     JsonMetricsRow(json, &first, kernel_db->metrics()->Snapshot());
     std::fprintf(json, "\n]\n");

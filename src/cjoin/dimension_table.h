@@ -1,37 +1,51 @@
 // DimensionHashTable: one level of the CJOIN pipeline's shared hash-join
-// chain (paper Fig. 1b / Fig. 2).
+// chain (paper Fig. 1b / Fig. 2), as a read-only flat table.
 //
-// Entries map a dimension key to the dimension tuple (projected row) plus a
-// query bitmap: bit q set means "this dimension tuple satisfies query q's
-// selection predicate on this dimension". Probing ANDs the fact tuple's
-// bitmap with the entry's bitmap, OR'd with the level's *neutral* bitmap —
-// the bits of queries that do not reference this dimension at all, which
-// must pass through unaffected.
+// The first admission that joins the dimension loads all of it, once, into
+// one row arena; an open-addressing index (FlatTable) maps each key to its
+// row, and a duplicate key keeps its first row. Rows never move or change
+// afterwards. Only the query bitmaps do: row r carries words() atomic
+// words, bit q set meaning "row r satisfies query q's predicate on this
+// dimension". Two per-level bitmaps complete the picture:
+//  * all-rows: queries whose predicate keeps every row, granted with one
+//    bit instead of one per row;
+//  * neutral: queries that do not join this dimension at all, which must
+//    pass the level unaffected.
+// A fact tuple whose key finds row r passes row r's bits | all-rows |
+// neutral; a key absent from the dimension passes only the neutral bits.
 //
-// Synchronization: probes run under the pipeline's shared (epoch) lock;
-// AdmitQuery/RemoveQuery run under the exclusive lock, so the table itself
-// needs no internal locking.
+// Admission is two-phase. Select() evaluates a predicate over the arena
+// into a Selection, on the admitting query's own thread. Grant() and
+// Revoke() then flip exactly that selection's bits with relaxed atomic
+// read-modify-writes. Nothing locks a probe: the pipeline grants a query's
+// bits before submitting its first page task and revokes them after its
+// last task completes, and a page task only reads the bits of the queries
+// in its own snapshot (pipeline.h).
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
+#include <mutex>
 #include <vector>
 
-#include "common/bitvector.h"
-#include "common/status.h"
+#include "common/status_or.h"
 #include "exec/expr.h"
+#include "exec/flat_table.h"
 #include "storage/table.h"
 
 namespace sharing {
 
 class DimensionHashTable {
  public:
-  struct Entry {
-    std::vector<uint8_t> row;  // projected dimension tuple
-    QuerySet bits;
+  static constexpr uint32_t kNoRow = FlatTable::kNone;
+
+  /// The rows satisfying one query's predicate: all of them, or a list of
+  /// row indices.
+  struct Selection {
+    bool all = false;
+    std::vector<uint32_t> rows;
   };
 
   /// `dim`: the dimension table; `pk_col`: its key column;
@@ -41,44 +55,66 @@ class DimensionHashTable {
 
   SHARING_DISALLOW_COPY_AND_MOVE(DimensionHashTable);
 
-  const Table* dim_table() const { return dim_; }
-  std::size_t pk_col() const { return pk_col_; }
+  /// Admission phase 1: loads the dimension on first use (a failed load is
+  /// retried by the next call), then evaluates `predicate` over every row.
+  /// Safe to call from any thread.
+  StatusOr<Selection> Select(const Expr& predicate);
 
-  /// Admits query `bit`: scans the dimension table, and for every tuple
-  /// satisfying `predicate` sets the query's bit (inserting the entry with
-  /// row = `projection` columns if absent).
-  ///
-  /// Entries inserted by different queries may project different columns;
-  /// CJOIN handles this by storing the union row: the entry's row is the
-  /// full dimension tuple, and per-query projections are applied at
-  /// distribution time. (We store the full row for exactly that reason.)
-  Status AdmitQuery(std::size_t bit, const Expr& predicate);
+  /// Admission phase 2: sets query `bit` on exactly `sel`'s rows (or on
+  /// the all-rows bitmap). `sel` must come from this table's Select().
+  void Grant(std::size_t bit, const Selection& sel);
 
-  /// Removes query `bit` from all entries; entries whose bitmap becomes
-  /// empty are erased (the paper's bookkeeping on query departure).
-  void RemoveQuery(std::size_t bit);
+  /// Departure: clears exactly the bits Grant(bit, sel) set.
+  void Revoke(std::size_t bit, const Selection& sel);
 
-  /// Probe by key. Returns nullptr on miss. The returned entry stays valid
-  /// until the next exclusive-mode mutation (callers hold the shared epoch
-  /// lock across a page batch).
-  const Entry* Probe(int64_t key) const {
-    auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : it->second.get();
+  /// Sets or clears query `bit` in the neutral bitmap.
+  void SetNeutral(std::size_t bit, bool on);
+
+  /// The row holding `key`, or kNoRow. Valid once a Select() succeeded.
+  uint32_t Find(int64_t key) const {
+    return index_.FindWord(static_cast<uint64_t>(key));
   }
 
-  /// Bits of active queries that do NOT use this dimension; maintained by
-  /// the pipeline on admission/removal.
-  const QuerySet& neutral_bits() const { return neutral_; }
-  QuerySet* mutable_neutral_bits() { return &neutral_; }
+  /// Row r's packed dimension tuple (full dimension schema).
+  const uint8_t* row(uint32_t r) const {
+    return arena_.data() + std::size_t(r) * row_width_;
+  }
 
-  std::size_t NumEntries() const { return entries_.size(); }
+  /// Word w of row r's own bitmap, and of the level bitmaps.
+  uint64_t RowBits(uint32_t r, std::size_t w) const {
+    return row_bits_[std::size_t(r) * words_ + w].load(
+        std::memory_order_relaxed);
+  }
+  uint64_t AllRowsBits(std::size_t w) const {
+    return all_rows_[w].load(std::memory_order_relaxed);
+  }
+  uint64_t NeutralBits(std::size_t w) const {
+    return neutral_[w].load(std::memory_order_relaxed);
+  }
+
+  /// Bitmap words per row (ceil(max_queries / 64)).
+  std::size_t words() const { return words_; }
+
+  /// Distinct-key rows loaded (0 before the first successful Select).
+  std::size_t NumRows() const { return index_.size(); }
 
  private:
+  Status LoadOnce();
+
   const Table* dim_;
   std::size_t pk_col_;
-  std::size_t max_queries_;
-  QuerySet neutral_;
-  std::unordered_map<int64_t, std::unique_ptr<Entry>> entries_;
+  std::size_t row_width_;
+  std::size_t words_;
+
+  // Written once under load_mutex_, read-only after loaded_ is set.
+  std::mutex load_mutex_;
+  std::atomic<bool> loaded_{false};
+  FlatTable index_{sizeof(int64_t)};
+  std::vector<uint8_t> arena_;
+
+  std::unique_ptr<std::atomic<uint64_t>[]> row_bits_;  // NumRows x words_
+  std::unique_ptr<std::atomic<uint64_t>[]> all_rows_;  // words_
+  std::unique_ptr<std::atomic<uint64_t>[]> neutral_;   // words_
 };
 
 }  // namespace sharing

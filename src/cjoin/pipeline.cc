@@ -1,11 +1,14 @@
 #include "cjoin/pipeline.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "storage/tuple.h"
+#include "storage/page.h"
 
 namespace sharing {
 
@@ -15,6 +18,14 @@ Table* FactTableOrDie(Catalog* catalog, const std::string& name) {
   auto fact_or = catalog->GetTable(name);
   SHARING_CHECK(fact_or.ok()) << fact_or.status().ToString();
   return fact_or.value();
+}
+
+/// How often the driver rechecks the stop requests of queries waiting for
+/// a free bit: nothing else wakes it while every bit is taken.
+constexpr auto kPendingStopPoll = std::chrono::milliseconds(1);
+
+bool Uses(const std::vector<std::size_t>& levels, std::size_t level) {
+  return std::find(levels.begin(), levels.end(), level) != levels.end();
 }
 
 }  // namespace
@@ -38,7 +49,6 @@ CJoinPipeline::CJoinPipeline(Catalog* catalog, const std::string& fact_table,
       admission_micros_(metrics->GetCounter(metrics::kCjoinAdmissionMicros)),
       readahead_(fact_, std::move(scheduler), prefetch_depth) {
   bitmap_words_ = (options_.max_queries + 63) / 64;
-  slots_.resize(options_.max_queries);
   free_bits_.reserve(options_.max_queries);
   for (std::size_t b = options_.max_queries; b > 0; --b) {
     free_bits_.push_back(b - 1);
@@ -77,13 +87,9 @@ CJoinPipeline::~CJoinPipeline() {
   // Abort anything still admitted or pending.
   std::vector<ActiveQueryRef> leftovers;
   {
-    std::unique_lock<std::shared_mutex> epoch(epoch_mutex_);
-    leftovers = active_;
-    active_.clear();
-  }
-  {
     std::lock_guard<std::mutex> lock(driver_mutex_);
-    for (auto& q : pending_) leftovers.push_back(q);
+    leftovers = std::move(active_);
+    leftovers.insert(leftovers.end(), pending_.begin(), pending_.end());
     pending_.clear();
   }
   for (auto& q : leftovers) {
@@ -162,6 +168,16 @@ StatusOr<CJoinPipeline::ActiveQueryRef> CJoinPipeline::BuildActiveQuery(
   q->trivial_fact_pred =
       spec.fact_predicate == nullptr ||
       spec.fact_predicate->Canonical() == kTrueCanonical;
+
+  // Admission phase 1: each dimension predicate becomes a row selection
+  // over its level's flat table (the first use loads the table).
+  q->selections.reserve(spec.dims.size());
+  for (std::size_t i = 0; i < spec.dims.size(); ++i) {
+    DimensionHashTable::Selection sel;
+    SHARING_ASSIGN_OR_RETURN(
+        sel, levels_[q->levels_used[i]].ht->Select(*spec.dims[i].predicate));
+    q->selections.push_back(std::move(sel));
+  }
   return q;
 }
 
@@ -189,78 +205,75 @@ Status CJoinPipeline::ExecuteQuery(const StarQuerySpec& spec,
   return q->final_status;
 }
 
+void CJoinPipeline::DropStopped() {
+  // Pending queries were never admitted: they hold no bits.
+  std::vector<ActiveQueryRef> dropped;
+  {
+    std::lock_guard<std::mutex> lock(driver_mutex_);
+    std::erase_if(pending_, [&](const ActiveQueryRef& q) {
+      if (!q->ctx->StopRequested()) return false;
+      dropped.push_back(q);
+      return true;
+    });
+  }
+  for (auto& q : dropped) SignalDone(q, q->ctx->TerminalStatus());
+
+  // Admitted queries give up their undispatched pages, the way a failed
+  // page is accounted; in-flight tasks finish the count.
+  dropped.clear();
+  std::erase_if(dispatching_, [&](const ActiveQueryRef& q) {
+    if (!q->muted.load(std::memory_order_relaxed) &&
+        !q->ctx->StopRequested()) {
+      return false;
+    }
+    q->muted.store(true, std::memory_order_relaxed);
+    const int64_t undelivered = q->dispatches_left;
+    q->dispatches_left = 0;
+    if (q->pages_remaining.fetch_sub(undelivered,
+                                     std::memory_order_acq_rel) ==
+        undelivered) {
+      dropped.push_back(q);
+    }
+    return true;
+  });
+  for (auto& q : dropped) FinalizeQuery(q);
+}
+
 void CJoinPipeline::AdmitPending() {
   std::vector<ActiveQueryRef> batch;
   {
     std::lock_guard<std::mutex> lock(driver_mutex_);
-    std::size_t available;
-    {
-      // free_bits_ is epoch-protected; a quick shared peek is enough since
-      // only the driver consumes bits.
-      std::shared_lock<std::shared_mutex> epoch(epoch_mutex_);
-      available = free_bits_.size();
-    }
-    while (!pending_.empty() && batch.size() < available) {
-      batch.push_back(pending_.front());
+    while (!pending_.empty() && !free_bits_.empty()) {
+      ActiveQueryRef q = std::move(pending_.front());
       pending_.pop_front();
+      q->bit = free_bits_.back();
+      free_bits_.pop_back();
+      active_.push_back(q);
+      batch.push_back(std::move(q));
     }
   }
   if (batch.empty()) return;
 
+  // Admission phase 2: flip the batch's bits on. No page waits for this.
   Stopwatch timer;
   {
-    // Covers the wait for the exclusive epoch lock and the dimension
-    // scans under it: the time no fact page can be processed.
     TraceSpan span("cjoin", "cjoin.admit");
     span.AddArg("queries", static_cast<int64_t>(batch.size()));
-    std::unique_lock<std::shared_mutex> epoch(epoch_mutex_);
     admission_epochs_->Increment();
+    const auto num_pages = static_cast<int64_t>(fact_->num_pages());
     for (auto& q : batch) {
-      SHARING_CHECK(!free_bits_.empty());
-      q->bit = free_bits_.back();
-      free_bits_.pop_back();
-
-      Status st = Status::OK();
-      for (std::size_t i = 0; i < q->levels_used.size() && st.ok(); ++i) {
-        Level& level = levels_[q->levels_used[i]];
-        st = level.ht->AdmitQuery(q->bit, *q->spec.dims[i].predicate);
+      for (std::size_t i = 0; i < q->levels_used.size(); ++i) {
+        levels_[q->levels_used[i]].ht->Grant(q->bit, q->selections[i]);
       }
-      if (!st.ok()) {
-        // Roll back this query's bits and report the failure.
-        for (auto l : q->levels_used) levels_[l].ht->RemoveQuery(q->bit);
-        free_bits_.push_back(q->bit);
-        epoch.unlock();
-        SignalDone(q, st);
-        epoch.lock();
-        continue;
-      }
-
-      // Neutral bits: levels this query does not join must pass it through.
       for (std::size_t l = 0; l < levels_.size(); ++l) {
-        bool used = false;
-        for (auto ul : q->levels_used) used |= (ul == l);
-        QuerySet* neutral = levels_[l].ht->mutable_neutral_bits();
-        if (used) {
-          neutral->Clear(q->bit);
-          ++levels_[l].live_queries;
-        } else {
-          neutral->Set(q->bit);
-        }
+        if (!Uses(q->levels_used, l)) levels_[l].ht->SetNeutral(q->bit, true);
       }
-
-      q->pages_remaining.store(static_cast<int64_t>(fact_->num_pages()),
-                               std::memory_order_release);
-      q->dispatches_left = static_cast<int64_t>(fact_->num_pages());
-      slots_[q->bit] = q;
-      active_.push_back(q);
-      active_count_.fetch_add(1, std::memory_order_relaxed);
+      q->pages_remaining.store(num_pages, std::memory_order_release);
+      q->dispatches_left = num_pages;
       queries_admitted_->Increment();
-
-      if (fact_->num_pages() == 0) {
+      if (num_pages == 0) {
         // Degenerate: nothing to scan; complete immediately.
-        epoch.unlock();
-        FinalizeQuery(q, Status::OK());
-        epoch.lock();
+        FinalizeQuery(q);
       } else {
         dispatching_.push_back(q);
       }
@@ -274,45 +287,30 @@ void CJoinPipeline::AdmitPending() {
 // ---------------------------------------------------------------------------
 
 void CJoinPipeline::DriverLoop() {
+  // A fact table larger than the pool misses on every page of every
+  // cycle under the clock, which is LRU-like; releasing each consumed
+  // page as the next victim (MRU) keeps a stable subset resident and
+  // leaves the dimension pages alone (DESIGN.md decision #16).
+  const bool release_as_next_victim =
+      fact_->num_pages() > fact_->buffer_pool()->num_frames();
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(driver_mutex_);
-      driver_cv_.wait(lock, [&] {
-        return shutdown_ || !pending_.empty() || !dispatching_.empty();
-      });
+      auto ready = [&] {
+        return shutdown_ || !dispatching_.empty() ||
+               (!pending_.empty() && !free_bits_.empty());
+      };
+      if (pending_.empty()) {
+        driver_cv_.wait(lock, ready);
+      } else {
+        driver_cv_.wait_for(lock, kPendingStopPoll, ready);
+      }
       if (shutdown_) return;
     }
 
+    DropStopped();
     AdmitPending();
     if (dispatching_.empty()) continue;
-
-    const uint64_t seq = fact_seq_++;
-    readahead_.Ahead(seq);
-    auto guard_or = fact_->buffer_pool()->FetchPage(
-        fact_->page_id(seq % fact_->num_pages()));
-    if (!guard_or.ok()) {
-      SHARING_LOG(Error) << "CJOIN fact scan failed: "
-                         << guard_or.status().ToString();
-      // Fail every query still owed dispatches: skipping a position would
-      // otherwise hand them a duplicated page at the wrap and silently
-      // drop the failed one from their cycle.
-      for (auto& q : dispatching_) {
-        q->muted.store(true, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> fail_lock(q->fail_mutex);
-          if (q->fail_status.ok()) q->fail_status = guard_or.status();
-        }
-        int64_t undelivered = q->dispatches_left;
-        if (q->pages_remaining.fetch_sub(
-                undelivered, std::memory_order_acq_rel) == undelivered) {
-          FinalizeQuery(q, guard_or.status());
-        }
-        // Else: in-flight tasks finish the accounting and finalize with
-        // fail_status via ProcessPage.
-      }
-      dispatching_.clear();
-      continue;
-    }
 
     // Respect the in-flight window (prefetch bound).
     {
@@ -328,7 +326,8 @@ void CJoinPipeline::DriverLoop() {
     // admitted until its last task is processed, so late tasks never meet
     // recycled bits).
     auto task = std::make_shared<PageTask>();
-    task->guard = std::move(guard_or).value();
+    task->seq = fact_seq_++;
+    readahead_.Ahead(task->seq);
     task->queries = dispatching_;
     for (auto& q : dispatching_) --q->dispatches_left;
     std::erase_if(dispatching_,
@@ -336,15 +335,8 @@ void CJoinPipeline::DriverLoop() {
                     return q->dispatches_left <= 0;
                   });
 
-    // A fact table larger than the pool misses on every page of every
-    // cycle under the clock, which is LRU-like; releasing each consumed
-    // page as the next victim (MRU) keeps a stable subset resident and
-    // leaves the dimension pages alone (DESIGN.md decision #16).
-    const bool release_as_next_victim =
-        fact_->num_pages() > fact_->buffer_pool()->num_frames();
     workers_->Submit([this, task, release_as_next_victim] {
-      ProcessPage(task);
-      if (release_as_next_victim) task->guard.ReleaseAsNextVictim();
+      ProcessPage(*task, release_as_next_victim);
       {
         std::lock_guard<std::mutex> lock(inflight_mutex_);
         --inflight_;
@@ -358,150 +350,192 @@ void CJoinPipeline::DriverLoop() {
 // Page processing: shared selections, hash-join chain, distribution
 // ---------------------------------------------------------------------------
 
-void CJoinPipeline::ProcessPage(std::shared_ptr<PageTask> task) {
-  const Schema& fact_schema = fact_->schema();
-  const uint8_t* frame = task->guard.data();
-  const uint32_t n_rows = page_layout::RowCount(frame);
+void CJoinPipeline::ProcessPage(const PageTask& task,
+                                bool release_as_next_victim) {
   TraceSpan span("cjoin", "cjoin.page");
-  span.AddArg("rows", n_rows);
-  span.AddArg("queries", static_cast<int64_t>(task->queries.size()));
-
-  std::vector<uint64_t> bits(bitmap_words_);
-  std::vector<const DimensionHashTable::Entry*> matched(levels_.size(),
-                                                        nullptr);
-  std::vector<uint64_t> combined(bitmap_words_);
-  int64_t and_ops = 0;
-  int64_t dropped = 0;
-  int64_t emitted = 0;
-
-  {
-    std::shared_lock<std::shared_mutex> epoch(epoch_mutex_);
-
-    // Which levels matter for this batch (any live query joins them)?
-    std::vector<std::size_t> probe_levels;
-    probe_levels.reserve(levels_.size());
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      if (levels_[l].live_queries > 0) probe_levels.push_back(l);
+  span.AddArg("queries", static_cast<int64_t>(task.queries.size()));
+  auto guard_or = fact_->buffer_pool()->FetchPage(
+      fact_->page_id(task.seq % fact_->num_pages()));
+  if (!guard_or.ok()) {
+    SHARING_LOG(Error) << "CJOIN fact scan failed: "
+                       << guard_or.status().ToString();
+    for (const auto& q : task.queries) {
+      q->muted.store(true, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> fail_lock(q->fail_mutex);
+      if (q->fail_status.ok()) q->fail_status = guard_or.status();
     }
+    CompletePage(task);
+    return;
+  }
+  PageGuard guard = std::move(guard_or).value();
+  const uint8_t* frame = guard.data();
+  const uint32_t n_rows = page_layout::RowCount(frame);
+  span.AddArg("rows", n_rows);
+  const Schema& fact_schema = fact_->schema();
+  const std::size_t stride = fact_schema.row_width();
+  const std::size_t words = bitmap_words_;
+  const uint8_t* rows = page_layout::RowAt(frame, 0);
 
-    for (uint32_t r = 0; r < n_rows; ++r) {
-      const uint8_t* row = page_layout::RowAt(frame, r);
-      TupleRef fact_row(row, &fact_schema);
+  // Shared selection (paper Fig. 1b's σ on the fact input): each row's
+  // starting bitmap holds the task's queries whose fact predicate it
+  // satisfies, evaluated one query at a time over the whole page. Muted
+  // queries start empty.
+  std::vector<uint64_t> bits(std::size_t(n_rows) * words, 0);
+  std::vector<uint64_t> trivial(words, 0);
+  std::vector<uint32_t> sel(n_rows);
+  for (const auto& q : task.queries) {
+    if (q->muted.load(std::memory_order_relaxed)) continue;
+    const std::size_t w = q->bit >> 6;
+    const uint64_t mask = uint64_t{1} << (q->bit & 63);
+    if (q->trivial_fact_pred) {
+      trivial[w] |= mask;
+      continue;
+    }
+    std::iota(sel.begin(), sel.end(), 0u);
+    const std::size_t kept = q->spec.fact_predicate->EvalBoolBatch(
+        rows, stride, fact_schema, sel.data(), n_rows);
+    for (std::size_t i = 0; i < kept; ++i) {
+      bits[std::size_t(sel[i]) * words + w] |= mask;
+    }
+  }
 
-      // Shared selection: build the initial bitmap from the queries' fact
-      // predicates (paper Fig. 1b's σ on the fact input).
-      std::fill(bits.begin(), bits.end(), 0);
-      bool any = false;
-      for (const auto& q : task->queries) {
-        if (q->trivial_fact_pred ||
-            q->spec.fact_predicate->EvalBool(fact_row)) {
-          bits[q->bit >> 6] |= (1ull << (q->bit & 63));
-          any = true;
+  // The rows still alive, compacted after every level.
+  std::vector<uint32_t>& live = sel;
+  live.clear();
+  for (uint32_t r = 0; r < n_rows; ++r) {
+    uint64_t any = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      any |= (bits[std::size_t(r) * words + w] |= trivial[w]);
+    }
+    if (any != 0) live.push_back(r);
+  }
+
+  // Shared hash-join chain with bitwise AND, over the levels any of the
+  // task's queries joins. matched[l * n_rows + r]: row r's dimension
+  // tuple at level l.
+  std::vector<bool> probe(levels_.size(), false);
+  for (const auto& q : task.queries) {
+    for (std::size_t l : q->levels_used) probe[l] = true;
+  }
+  std::vector<const uint8_t*> matched(levels_.size() * n_rows);
+  std::vector<uint64_t> pass(words), neutral(words);
+  int64_t and_ops = 0;
+  for (std::size_t l = 0; l < levels_.size() && !live.empty(); ++l) {
+    if (!probe[l]) continue;
+    const DimensionHashTable& ht = *levels_[l].ht;
+    for (std::size_t w = 0; w < words; ++w) {
+      neutral[w] = ht.NeutralBits(w);
+      pass[w] = ht.AllRowsBits(w) | neutral[w];
+    }
+    const std::size_t fk_offset = levels_[l].fk_offset;
+    std::size_t kept = 0;
+    for (uint32_t r : live) {
+      int64_t fk;
+      std::memcpy(&fk, rows + std::size_t(r) * stride + fk_offset,
+                  sizeof(fk));
+      const uint32_t id = ht.Find(fk);
+      uint64_t* row_bits = bits.data() + std::size_t(r) * words;
+      uint64_t any = 0;
+      if (id != DimensionHashTable::kNoRow) {
+        matched[l * n_rows + r] = ht.row(id);
+        for (std::size_t w = 0; w < words; ++w) {
+          any |= (row_bits[w] &= ht.RowBits(id, w) | pass[w]);
+        }
+      } else {
+        for (std::size_t w = 0; w < words; ++w) {
+          any |= (row_bits[w] &= neutral[w]);
         }
       }
-      if (!any) {
-        ++dropped;
-        continue;
-      }
+      if (any != 0) live[kept++] = r;
+    }
+    and_ops += static_cast<int64_t>(live.size());
+    live.resize(kept);
+  }
+  const int64_t dropped = n_rows - static_cast<int64_t>(live.size());
 
-      // Shared hash-join chain with bitwise AND.
-      bool alive = true;
-      for (std::size_t l : probe_levels) {
-        const Level& level = levels_[l];
-        int64_t fk;
-        std::memcpy(&fk, row + level.fk_offset, sizeof(fk));
-        const auto* entry = level.ht->Probe(fk);
-        matched[l] = entry;
-        const uint64_t* neutral = level.ht->neutral_bits().words();
-        if (entry != nullptr) {
-          const uint64_t* ebits = entry->bits.words();
-          for (std::size_t w = 0; w < bitmap_words_; ++w) {
-            combined[w] = ebits[w] | neutral[w];
-          }
-        } else {
-          for (std::size_t w = 0; w < bitmap_words_; ++w) {
-            combined[w] = neutral[w];
-          }
-        }
-        ++and_ops;
-        if (!BitmapAndInPlace(bits.data(), combined.data(), bitmap_words_)) {
-          alive = false;
+  // Distributor: route each query's surviving rows, under one emit-lock
+  // acquisition per query with output.
+  int64_t emitted = 0;
+  for (const auto& q : task.queries) {
+    const std::size_t w = q->bit >> 6;
+    const uint64_t mask = uint64_t{1} << (q->bit & 63);
+    std::unique_lock<std::mutex> emit_lock;  // taken at the first match
+    for (uint32_t r : live) {
+      if ((bits[std::size_t(r) * words + w] & mask) == 0) continue;
+      if (!emit_lock.owns_lock()) {
+        if (q->muted.load(std::memory_order_relaxed)) break;
+        if (q->ctx->StopRequested()) {
+          q->muted.store(true, std::memory_order_relaxed);
           break;
         }
+        emit_lock = std::unique_lock<std::mutex>(q->emit_mutex);
       }
-      if (!alive) {
-        ++dropped;
-        continue;
-      }
-
-      // Distributor: route the joined tuple to every surviving query.
-      for (const auto& q : task->queries) {
-        if (!((bits[q->bit >> 6] >> (q->bit & 63)) & 1u)) continue;
-        if (q->muted.load(std::memory_order_relaxed)) continue;
-        if (q->ctx->cancelled()) {
+      uint8_t* slot = q->builder->AppendSlot();
+      if (slot == nullptr) {
+        PageRef full = std::move(q->builder);
+        q->builder = std::make_shared<RowPage>(q->output_schema.row_width());
+        if (!q->sink->Put(std::move(full))) {
           q->muted.store(true, std::memory_order_relaxed);
-          continue;
+          break;
         }
-        std::lock_guard<std::mutex> emit_lock(q->emit_mutex);
-        uint8_t* slot = q->builder->AppendSlot();
-        if (slot == nullptr) {
-          PageRef full = std::move(q->builder);
-          q->builder =
-              std::make_shared<RowPage>(q->output_schema.row_width());
-          if (!q->sink->Put(std::move(full))) {
-            q->muted.store(true, std::memory_order_relaxed);
-            continue;
-          }
-          slot = q->builder->AppendSlot();
-        }
-        for (const auto& op : q->copy_ops) {
-          const uint8_t* src =
-              op.level < 0 ? row + op.src_off
-                           : matched[op.level]->row.data() + op.src_off;
-          std::memcpy(slot + op.dst_off, src, op.width);
-        }
-        ++emitted;
+        slot = q->builder->AppendSlot();
       }
+      const uint8_t* fact_row = rows + std::size_t(r) * stride;
+      for (const auto& op : q->copy_ops) {
+        const uint8_t* src =
+            op.level < 0 ? fact_row + op.src_off
+                         : matched[op.level * n_rows + r] + op.src_off;
+        std::memcpy(slot + op.dst_off, src, op.width);
+      }
+      ++emitted;
     }
+  }
+  if (release_as_next_victim) {
+    guard.ReleaseAsNextVictim();
+  } else {
+    guard.Release();
   }
 
   fact_tuples_in_->Add(n_rows);
   tuples_dropped_->Add(dropped);
   tuples_out_->Add(emitted);
   bitmap_and_ops_->Add(and_ops);
+  CompletePage(task);
+}
 
-  // Completion accounting: a query finishes when it has seen every fact
-  // page exactly once since admission.
-  for (const auto& q : task->queries) {
+void CJoinPipeline::CompletePage(const PageTask& task) {
+  // A query finishes when it has seen every fact page exactly once since
+  // admission (or gave up the rest of its cycle).
+  for (const auto& q : task.queries) {
     if (q->pages_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      Status final = Status::OK();
-      if (q->muted.load()) {
-        std::lock_guard<std::mutex> fail_lock(q->fail_mutex);
-        final = q->fail_status.ok() ? Status::Aborted("query abandoned")
-                                    : q->fail_status;
-      }
-      FinalizeQuery(q, std::move(final));
+      FinalizeQuery(q);
     }
   }
 }
 
-void CJoinPipeline::FinalizeQuery(const ActiveQueryRef& q, Status final) {
+void CJoinPipeline::FinalizeQuery(const ActiveQueryRef& q) {
+  // Departure: clear exactly the bits admission set. No task still reads
+  // them on this query's behalf; the bit is reusable only afterwards.
+  for (std::size_t i = 0; i < q->levels_used.size(); ++i) {
+    levels_[q->levels_used[i]].ht->Revoke(q->bit, q->selections[i]);
+  }
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    if (!Uses(q->levels_used, l)) levels_[l].ht->SetNeutral(q->bit, false);
+  }
   {
-    std::unique_lock<std::shared_mutex> epoch(epoch_mutex_);
-    for (std::size_t i = 0; i < q->levels_used.size(); ++i) {
-      Level& level = levels_[q->levels_used[i]];
-      level.ht->RemoveQuery(q->bit);
-      --level.live_queries;
-    }
-    for (auto& level : levels_) {
-      level.ht->mutable_neutral_bits()->Clear(q->bit);
-    }
+    std::lock_guard<std::mutex> lock(driver_mutex_);
     std::erase(active_, q);
-    slots_[q->bit] = nullptr;
     free_bits_.push_back(q->bit);
-    active_count_.fetch_sub(1, std::memory_order_relaxed);
   }
   queries_completed_->Increment();
+
+  Status final = Status::OK();
+  if (q->muted.load(std::memory_order_relaxed)) {
+    std::lock_guard<std::mutex> fail_lock(q->fail_mutex);
+    final = q->fail_status;
+    if (final.ok()) final = q->ctx->TerminalStatus();
+    if (final.ok()) final = Status::Aborted("query abandoned");
+  }
   SignalDone(q, std::move(final));
   // A freed bit may unblock pending admissions.
   driver_cv_.notify_all();

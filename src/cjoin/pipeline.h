@@ -14,19 +14,43 @@
 // Query admission is *mark-based*: a query becomes active at the current
 // scan position and completes when the scan has delivered exactly
 // `num_fact_pages` pages to it (one full cycle, no pipeline flush).
-// Admissions are applied by the driver between page dispatches under an
-// exclusive epoch lock; queries arriving together are admitted in one
-// epoch, which is what makes client-side batching amortize admission cost
-// (Scenario IV / Ablation D). While the exclusive lock is held no page is
-// processed, so an admission stalls the pipeline for as long as its
-// dimension scans take.
+//
+// Admission never stops the fact cycle. It runs in two phases:
+//  1. On the thread that calls ExecuteQuery, each dimension predicate is
+//     evaluated over its level's read-only flat table (loaded on first
+//     use, dimension_table.h) into a row selection.
+//  2. The driver takes a free query bit and sets it on those rows (or in
+//     the level's all-rows bitmap), and in the neutral bitmap of every
+//     level the query does not join, with relaxed atomic fetch_or. The
+//     queries waiting together are admitted in one such pass.
+// Departure clears exactly the bits admission set. Probes read the bitmaps
+// without a lock, because:
+//  * a page task starts from a bitmap holding only its own snapshot of
+//    queries, so a stale bit of another query, or one flipping mid-page,
+//    is ANDed away before it can route a tuple;
+//  * a query's bits are set before its first page task is submitted and
+//    cleared only after its last page task completes.
+//
+// The driver thread only admits, issues readahead and snapshots the
+// dispatch list into page tasks, at most `max_in_flight_pages` at once.
+// Each worker fetches its task's fact page itself, so buffer-pool misses
+// overlap across workers, and processes it page-at-a-time: the fact
+// predicates through EvalBoolBatch, then a level-by-level probe over the
+// rows still alive (only the levels the task's queries join), then one
+// emit-lock acquisition per (page, query) with output.
 //
 // Given an IoScheduler, the driver reads the fact table ahead through the
 // same `ScanReadahead` helper QPipe's circular scans use
-// (storage/circular_scan.h): before each fact FetchPage it queues
-// kScanPrefetch jobs for the next `prefetch_depth` positions, so the one
-// thread that advances the cycle rarely pays a buffer-pool miss itself.
-// Without a scheduler every miss is paid inline, as before.
+// (storage/circular_scan.h): before each page task it queues
+// kScanPrefetch jobs for the next `prefetch_depth` positions, so workers
+// rarely pay a buffer-pool miss themselves. Without a scheduler every
+// miss is paid by the worker that needs the page.
+//
+// A query whose context stops (cancellation or deadline) leaves the
+// pending queue or the dispatch list at the driver's next pass and
+// completes with the context's terminal status once its in-flight page
+// tasks drain. A fact page that fails to read fails exactly the queries
+// of its task, with the read's status.
 
 #pragma once
 
@@ -35,7 +59,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,28 +114,26 @@ class CJoinPipeline {
   SHARING_DISALLOW_COPY_AND_MOVE(CJoinPipeline);
 
   /// Admits `spec` and blocks until the query has seen one full cycle of
-  /// the fact table. Results (pages of spec.OutputSchema()) stream into
-  /// `sink`, which is closed with the query's terminal status.
+  /// the fact table, or has stopped or failed. Results (pages of
+  /// spec.OutputSchema()) stream into `sink`, which is closed with the
+  /// query's terminal status. Admission phase 1 runs on the calling
+  /// thread.
   Status ExecuteQuery(const StarQuerySpec& spec, ExecContextRef ctx,
                       PageSinkRef sink);
 
   const std::string& fact_table_name() const { return fact_->name(); }
   const Table* fact_table() const { return fact_; }
 
-  std::size_t ActiveQueries() const {
-    return active_count_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Level {
     CJoinLevelSpec spec;
     std::size_t fk_offset = 0;  // byte offset of the fk in the fact row
     std::unique_ptr<DimensionHashTable> ht;
-    std::size_t live_queries = 0;  // active queries joining this level
   };
 
   /// Row-assembly instruction: copy `width` bytes from the fact row
-  /// (level < 0) or the matched entry of `level` into the output row.
+  /// (level < 0) or the matched dimension row of `level` into the output
+  /// row.
   struct CopyOp {
     int level = -1;
     std::size_t src_off = 0;
@@ -126,7 +147,10 @@ class CJoinPipeline {
     PageSinkRef sink;
     Schema output_schema;
     std::vector<CopyOp> copy_ops;
-    std::vector<std::size_t> levels_used;  // pipeline level indices
+    std::vector<std::size_t> levels_used;  // pipeline level per spec dim
+    /// Admission phase 1: the rows of levels_used[i] satisfying
+    /// spec.dims[i]'s predicate; granted and revoked under `bit`.
+    std::vector<DimensionHashTable::Selection> selections;
     bool trivial_fact_pred = false;
 
     std::size_t bit = 0;
@@ -134,16 +158,18 @@ class CJoinPipeline {
 
     /// Driver-thread-only: page tasks still to be dispatched to this
     /// query. A query appears in exactly `num_fact_pages` task snapshots
-    /// (its one full circular-scan cycle); afterwards it leaves the
-    /// dispatch list but stays admitted until the last task completes.
+    /// (its one full circular-scan cycle) unless it stops first;
+    /// afterwards it leaves the dispatch list but stays admitted until
+    /// the last task completes.
     int64_t dispatches_left = 0;
-    std::atomic<bool> muted{false};  // cancelled or consumer gone
+    /// Stopped, failed or consumer gone: no further output.
+    std::atomic<bool> muted{false};
 
     std::mutex emit_mutex;
     std::shared_ptr<RowPage> builder;
 
-    /// Set (once) when the circular fact scan hits an I/O failure while
-    /// this query is still owed pages; the query completes with it.
+    /// Set (once) when one of this query's fact pages fails to read; the
+    /// query completes with it.
     std::mutex fail_mutex;
     Status fail_status;
 
@@ -154,9 +180,9 @@ class CJoinPipeline {
   };
   using ActiveQueryRef = std::shared_ptr<ActiveQuery>;
 
-  /// Snapshot handed to a page-processing task.
+  /// One fact page (absolute read sequence `seq`) and the queries owed it.
   struct PageTask {
-    PageGuard guard;
+    uint64_t seq = 0;
     std::vector<ActiveQueryRef> queries;
   };
 
@@ -165,9 +191,12 @@ class CJoinPipeline {
                                             PageSinkRef sink) const;
 
   void DriverLoop();
+  void DropStopped();
   void AdmitPending();
-  void ProcessPage(std::shared_ptr<PageTask> task);
-  void FinalizeQuery(const ActiveQueryRef& q, Status final);
+  void ProcessPage(const PageTask& task, bool release_as_next_victim);
+  /// Counts one delivered page per task query; finalizes the last.
+  void CompletePage(const PageTask& task);
+  void FinalizeQuery(const ActiveQueryRef& q);
   void SignalDone(const ActiveQueryRef& q, Status final);
 
   Catalog* catalog_;
@@ -186,18 +215,12 @@ class CJoinPipeline {
   std::vector<Level> levels_;
   std::size_t bitmap_words_;
 
-  // Epoch lock: shared while probing pages, exclusive for admission /
-  // departure (hash-table and bitmap mutations).
-  std::shared_mutex epoch_mutex_;
-  std::vector<ActiveQueryRef> active_;
-  std::vector<ActiveQueryRef> slots_;  // bit -> query
-  std::vector<std::size_t> free_bits_;
-  std::atomic<std::size_t> active_count_{0};
-
-  // Driver state.
+  // Driver state, and the bit bookkeeping departures update from workers.
   std::mutex driver_mutex_;
   std::condition_variable driver_cv_;
   std::deque<ActiveQueryRef> pending_;
+  std::vector<ActiveQueryRef> active_;  // admitted, not yet finalized
+  std::vector<std::size_t> free_bits_;
   bool shutdown_ = false;
 
   /// Queries still owed page dispatches. Owned by the driver thread

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string_view>
 
 namespace sharing {
 
@@ -15,7 +16,7 @@ int64_t NowMicros() {
       .count();
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
+void AppendEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
     if (c == '"' || c == '\\') out->push_back('\\');
     out->push_back(c);

@@ -32,22 +32,23 @@ struct QueryExplain {
   /// One packet submission's admission outcome at one stage.
   struct StageRecord {
     /// What the packet became at admission.
-    enum class Role {
+    enum class Role : uint8_t {
       kUnshared,   // executed alone (no sharing channel)
       kHost,       // executed and hosted a sharing channel
       kSatellite,  // attached to an in-flight host; executed nothing
     };
 
-    std::string stage;       // "tscan", "join", ...
-    uint64_t signature = 0;  // plan-subtree signature (correlation id)
-    Role role = Role::kUnshared;
+    // Fields are ordered widest first, so the record packs into 80 bytes
+    // on LP64 (completed queries keep theirs). Every string is static or
+    // interned for the process (Trace::InternString).
+    const char* stage = "";            // "TSCAN", "JOIN", ...
     const char* transport = "none";    // "none" | "push" | "pull"
     /// Who made the call: "static" (configured mode), "cold" (popularity
     /// gate), "model" (per-signature cost model, its thin-history prior
     /// included), "attach" (an in-flight host existed — free win),
     /// "rerun" (a satellite re-dispatched unshared after its host died).
     const char* decided_by = "static";
-    bool spill_preferred = false;  // model chose pull for the spill tier
+    uint64_t signature = 0;  // plan-subtree signature (correlation id)
     /// Model decisions only; 0 with decided_by "model" = the prior.
     double confidence = 0;
 
@@ -62,6 +63,9 @@ struct QueryExplain {
     /// Of those, pages deep-copied into this query's FIFO by a push
     /// host (push satellites).
     int64_t pages_copied = 0;
+
+    Role role = Role::kUnshared;
+    bool spill_preferred = false;  // model chose pull for the spill tier
   };
 
   uint64_t query_id = 0;
@@ -86,7 +90,7 @@ class ExplainState {
   /// PagesDelivered() becomes the record's page counts at Build time
   /// (weak: explain must not pin SPL readers).
   struct PendingStage {
-    std::string stage;
+    const char* stage = "";  // static or interned
     uint64_t signature = 0;
     QueryExplain::StageRecord::Role role =
         QueryExplain::StageRecord::Role::kUnshared;

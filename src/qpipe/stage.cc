@@ -149,6 +149,7 @@ Stage::Stage(std::string name, Options options, MetricsRegistry* metrics)
       run_packet_hist_(
           metrics->GetHistogram(metrics::kStageRunPacketMicros)),
       trace_name_(Trace::InternString("run_packet:" + name_)),
+      explain_name_(Trace::InternString(name_)),
       cost_model_(
           std::make_unique<SharingCostModel>(options.cost_model, metrics)),
       pool_(options.initial_workers, options.max_workers) {}
@@ -296,7 +297,7 @@ PageSourceRef Stage::SubmitOrShare(PlanNodeRef node, ExecContextRef ctx,
         // explain record points at the satellite reader, whose delivered
         // pages all count as served-by-the-host.
         ExplainState::PendingStage rec;
-        rec.stage = name_;
+        rec.stage = explain_name_;
         rec.signature = sig;
         rec.role = QueryExplain::StageRecord::Role::kSatellite;
         rec.transport = host_mode == SpMode::kPush ? "push" : "pull";
@@ -324,7 +325,7 @@ PageSourceRef Stage::SubmitFresh(PlanNodeRef node, ExecContextRef ctx,
                                  bool record_work) {
   const uint64_t sig = node->Signature();
   ExplainState::PendingStage rec;
-  rec.stage = name_;
+  rec.stage = explain_name_;
   rec.signature = sig;
   rec.decided_by = choice.decided_by;
   rec.spill_preferred = choice.spill_preferred;

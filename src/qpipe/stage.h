@@ -201,6 +201,8 @@ class Stage {
   /// Interned "run_packet:<stage>" — the stage's RunPacket span name
   /// (trace event names must outlive every ring slot).
   const char* trace_name_;
+  /// Interned stage name for explain records, which outlive the stage.
+  const char* explain_name_;
 
   std::atomic<int64_t> packets_submitted_{0};
   std::atomic<int64_t> packets_executed_{0};

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <latch>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "cjoin/cjoin_stage.h"
 #include "cjoin/pipeline.h"
 #include "cjoin/star_query.h"
+#include "common/fault.h"
 #include "core/sharing_engine.h"
 #include "exec/reference_executor.h"
 #include "io/io_scheduler.h"
@@ -31,6 +33,9 @@ using testing::MakeTestDatabase;
 class CJoinTest : public ::testing::Test {
  protected:
   void SetUp() override { BuildStar(/*frames=*/16384, /*fact_rows=*/4000); }
+
+  // Fault schedules are process-global; never leak one into the next test.
+  void TearDown() override { FaultRegistry::Global().Disarm(); }
 
   /// (Re)creates the database with `frames` buffer-pool frames and the
   /// star schema with `fact_rows` fact rows (32-byte rows, 255 a page).
@@ -136,13 +141,53 @@ class CJoinTest : public ::testing::Test {
     return std::move(r).value();
   }
 
+  /// join(dim2, fact) star plan with predicates on the dimension and on
+  /// the fact table (dim1's level stays unused).
+  PlanNodeRef Dim2Plan(double weight_ge, double v_lt) {
+    auto d = std::make_shared<ScanNode>(
+        "dim2", Dim2Schema(),
+        Cmp(CmpOp::kGe, Col(2, ValueType::kDouble), Lit(weight_ge)),
+        std::vector<std::size_t>{0, 2});
+    auto f = std::make_shared<ScanNode>(
+        "fact", FactSchema(),
+        Cmp(CmpOp::kLt, Col(3, ValueType::kDouble), Lit(v_lt)),
+        std::vector<std::size_t>{0, 2, 3});
+    return std::make_shared<JoinNode>(d, f, 0, 1);
+  }
+
+  /// Drops every cached page, then reads back the dimension pages and the
+  /// fact pages for which `keep_fact_page` holds: the next fact reads of
+  /// the others go to disk.
+  void ColdFactWarmDimensions(
+      const std::function<bool(std::size_t)>& keep_fact_page =
+          [](std::size_t) { return false; }) {
+    BufferPool* pool = db_->buffer_pool();
+    ASSERT_TRUE(pool->EvictAll().ok());
+    for (const char* name : {"dim1", "dim2", "fact"}) {
+      const Table* table = db_->catalog()->GetTable(name).value();
+      for (std::size_t p = 0; p < table->num_pages(); ++p) {
+        if (table == FactTable() && !keep_fact_page(p)) continue;
+        ASSERT_TRUE(pool->FetchPage(table->page_id(p)).ok());
+      }
+    }
+  }
+
+  const Table* FactTable() {
+    return db_->catalog()->GetTable("fact").value();
+  }
+
+  int64_t Counted(const char* name) {
+    return db_->metrics()->GetCounter(name)->Get();
+  }
+
   /// Runs a star plan through a fresh CJOIN pipeline and materializes.
   StatusOr<ResultSet> RunThroughCJoin(CJoinPipeline* pipeline,
-                                      const PlanNodeRef& plan) {
+                                      const PlanNodeRef& plan,
+                                      ExecContextRef ctx = nullptr) {
     auto spec_or = StarQueryFromPlan(*plan, "fact");
     SHARING_RETURN_NOT_OK(spec_or.status());
     auto sink = std::make_shared<FifoBuffer>(64);
-    auto ctx = std::make_shared<ExecContext>(1, db_->metrics());
+    if (ctx == nullptr) ctx = std::make_shared<ExecContext>(1, db_->metrics());
     std::thread worker([&] {
       pipeline->ExecuteQuery(spec_or.value(), ctx, sink);
     });
@@ -152,6 +197,41 @@ class CJoinTest : public ::testing::Test {
     worker.join();
     if (!st.ok()) return st;
     return result;
+  }
+
+  /// Rows of `ht` with any query bit of their own.
+  static std::size_t CountGrantedRows(const DimensionHashTable& ht) {
+    std::size_t n = 0;
+    for (uint32_t r = 0; r < ht.NumRows(); ++r) {
+      uint64_t any = 0;
+      for (std::size_t w = 0; w < ht.words(); ++w) any |= ht.RowBits(r, w);
+      n += any != 0;
+    }
+    return n;
+  }
+
+  /// Whether the row of `key` carries query `bit` itself.
+  static bool HasBit(const DimensionHashTable& ht, int64_t key,
+                     std::size_t bit) {
+    const uint32_t r = ht.Find(key);
+    EXPECT_NE(r, DimensionHashTable::kNoRow) << "key " << key;
+    return r != DimensionHashTable::kNoRow &&
+           ((ht.RowBits(r, bit / 64) >> (bit % 64)) & 1) != 0;
+  }
+
+  /// Every bitmap word of `ht`: rows, then all-rows, then neutral.
+  static std::vector<uint64_t> AllWords(const DimensionHashTable& ht) {
+    std::vector<uint64_t> words;
+    for (uint32_t r = 0; r < ht.NumRows(); ++r) {
+      for (std::size_t w = 0; w < ht.words(); ++w) {
+        words.push_back(ht.RowBits(r, w));
+      }
+    }
+    for (std::size_t w = 0; w < ht.words(); ++w) {
+      words.push_back(ht.AllRowsBits(w));
+      words.push_back(ht.NeutralBits(w));
+    }
+    return words;
   }
 
   std::unique_ptr<Database> db_;
@@ -232,28 +312,122 @@ TEST_F(CJoinTest, DimensionTableAdmitProbeRemove) {
   DimensionHashTable ht(dim1, 0, 8);
 
   auto pred = Cmp(CmpOp::kLt, Col(0, ValueType::kInt64), Lit(int64_t{10}));
-  ASSERT_TRUE(ht.AdmitQuery(2, *pred).ok());
-  EXPECT_EQ(ht.NumEntries(), 10u);
+  auto sel = ht.Select(*pred);
+  ASSERT_TRUE(sel.ok());
+  ht.Grant(2, sel.value());
+  EXPECT_EQ(CountGrantedRows(ht), 10u);
 
-  const auto* hit = ht.Probe(5);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(hit->bits.Test(2));
-  EXPECT_EQ(ht.Probe(15), nullptr);
+  ASSERT_NE(ht.Find(5), DimensionHashTable::kNoRow);
+  EXPECT_TRUE(HasBit(ht, 5, 2));
+  EXPECT_FALSE(HasBit(ht, 15, 2));
 
-  // Second query with an overlapping predicate shares entries.
+  // Second query with an overlapping predicate shares rows.
   auto pred2 = Cmp(CmpOp::kLt, Col(0, ValueType::kInt64), Lit(int64_t{20}));
-  ASSERT_TRUE(ht.AdmitQuery(5, *pred2).ok());
-  EXPECT_EQ(ht.NumEntries(), 20u);
-  EXPECT_TRUE(ht.Probe(5)->bits.Test(2));
-  EXPECT_TRUE(ht.Probe(5)->bits.Test(5));
-  EXPECT_FALSE(ht.Probe(15)->bits.Test(2));
+  auto sel2 = ht.Select(*pred2);
+  ASSERT_TRUE(sel2.ok());
+  ht.Grant(5, sel2.value());
+  EXPECT_EQ(CountGrantedRows(ht), 20u);
+  EXPECT_TRUE(HasBit(ht, 5, 2));
+  EXPECT_TRUE(HasBit(ht, 5, 5));
+  EXPECT_FALSE(HasBit(ht, 15, 2));
 
-  // Departure of query 2 clears its bits; entries only it used vanish.
-  ht.RemoveQuery(2);
-  ASSERT_NE(ht.Probe(5), nullptr);
-  EXPECT_FALSE(ht.Probe(5)->bits.Test(2));
-  ht.RemoveQuery(5);
-  EXPECT_EQ(ht.NumEntries(), 0u);
+  // Departure of query 2 clears its bits; rows only it used go empty.
+  ht.Revoke(2, sel.value());
+  EXPECT_FALSE(HasBit(ht, 5, 2));
+  EXPECT_TRUE(HasBit(ht, 5, 5));
+  ht.Revoke(5, sel2.value());
+  EXPECT_EQ(CountGrantedRows(ht), 0u);
+}
+
+TEST_F(CJoinTest, DimensionTableAllRowsSelectionUsesTheLevelBitmap) {
+  Table* dim1 = db_->catalog()->GetTable("dim1").value();
+  DimensionHashTable ht(dim1, 0, 70);  // two bitmap words
+  EXPECT_EQ(ht.NumRows(), 0u) << "loaded lazily, on the first Select";
+
+  auto sel = ht.Select(*TruePredicate());
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ(ht.NumRows(), 30u);
+  EXPECT_TRUE(sel.value().all);
+  EXPECT_TRUE(sel.value().rows.empty());
+
+  ht.Grant(66, sel.value());
+  EXPECT_EQ(ht.AllRowsBits(1), uint64_t{1} << 2);
+  EXPECT_EQ(ht.AllRowsBits(0), 0u);
+  EXPECT_EQ(CountGrantedRows(ht), 0u) << "no per-row bit for all-rows";
+  ht.Revoke(66, sel.value());
+  EXPECT_EQ(ht.AllRowsBits(1), 0u);
+}
+
+TEST_F(CJoinTest, DimensionTableAbsentAndDuplicateKeys) {
+  Schema schema({Column::Int64("k"), Column::Int64("payload")});
+  auto t = db_->catalog()->CreateTable("dupdim", schema, db_->buffer_pool());
+  ASSERT_TRUE(t.ok());
+  TableAppender append(t.value());
+  for (auto [k, payload] : std::vector<std::pair<int64_t, int64_t>>{
+           {1, 10}, {2, 20}, {1, 11}, {3, 30}, {2, 21}}) {
+    auto row = append.AppendRow();
+    ASSERT_TRUE(row.ok());
+    row.value().SetInt64(0, k).SetInt64(1, payload);
+  }
+  ASSERT_TRUE(append.Finish().ok());
+
+  DimensionHashTable ht(t.value(), 0, 8);
+  // payload >= 11 keeps rows {2,20} and {3,30} of the indexed first
+  // rows; the duplicates {1,11} and {2,21} are never indexed.
+  auto sel = ht.Select(
+      *Cmp(CmpOp::kGe, Col(1, ValueType::kInt64), Lit(int64_t{11})));
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ(ht.NumRows(), 3u);
+  EXPECT_EQ(sel.value().rows.size(), 2u);
+  EXPECT_FALSE(sel.value().all);
+
+  for (auto [k, payload] :
+       std::vector<std::pair<int64_t, int64_t>>{{1, 10}, {2, 20}, {3, 30}}) {
+    const uint32_t r = ht.Find(k);
+    ASSERT_NE(r, DimensionHashTable::kNoRow) << k;
+    EXPECT_EQ(TupleRef(ht.row(r), &t.value()->schema()).GetInt64(1),
+              payload)
+        << "the first row of key " << k << " wins";
+  }
+  EXPECT_EQ(ht.Find(4), DimensionHashTable::kNoRow);
+  EXPECT_EQ(ht.Find(-1), DimensionHashTable::kNoRow);
+
+  ht.Grant(1, sel.value());
+  EXPECT_FALSE(HasBit(ht, 1, 1));
+  EXPECT_TRUE(HasBit(ht, 2, 1));
+  EXPECT_TRUE(HasBit(ht, 3, 1));
+}
+
+TEST_F(CJoinTest, DimensionTableRevokeRestoresEveryWord) {
+  Table* dim2 = db_->catalog()->GetTable("dim2").value();
+  DimensionHashTable ht(dim2, 0, 128);
+  auto even = ht.Select(*Cmp(CmpOp::kEq,
+                             Arith(ArithOp::kMod, Col(0, ValueType::kInt64),
+                                   Lit(int64_t{2})),
+                             Lit(int64_t{0})));
+  auto all = ht.Select(*TruePredicate());
+  auto low = ht.Select(
+      *Cmp(CmpOp::kLt, Col(0, ValueType::kInt64), Lit(int64_t{5})));
+  ASSERT_TRUE(even.ok() && all.ok() && low.ok());
+
+  // Other queries' bits, in both words, stay put across the revocation.
+  ht.Grant(3, even.value());
+  ht.Grant(100, low.value());
+  ht.Grant(64, all.value());
+  ht.SetNeutral(7, true);
+  const std::vector<uint64_t> before = AllWords(ht);
+
+  // Query 70 joins this level twice and query 9 not at all.
+  ht.Grant(70, even.value());
+  ht.Grant(70, low.value());
+  ht.Grant(71, all.value());
+  ht.SetNeutral(9, true);
+  EXPECT_NE(AllWords(ht), before);
+  ht.Revoke(70, even.value());
+  ht.Revoke(70, low.value());
+  ht.Revoke(71, all.value());
+  ht.SetNeutral(9, false);
+  EXPECT_EQ(AllWords(ht), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +526,186 @@ TEST_F(CJoinTest, AdmissionBeyondCapacityWaits) {
   EXPECT_EQ(
       db_->metrics()->GetCounter(metrics::kCjoinQueriesCompleted)->Get(),
       kQueries);
+}
+
+TEST_F(CJoinTest, RecycledBitsNeverLeakIntoAnotherQuery) {
+  // Dozens of short distinct stars over 2-4 bits: every bit is re-granted
+  // while its previous owner's last pages may still be in flight. The
+  // stars mix levels (dim1 only, dim2 only, both) and trivial and
+  // selective fact predicates, so a leaked bit would change some result.
+  std::vector<PlanNodeRef> plans;
+  for (int i = 0; i < 12; ++i) {
+    switch (i % 3) {
+      case 0:
+        plans.push_back(OneDimPlan(i % 4));
+        break;
+      case 1:
+        plans.push_back(TwoDimPlan(400 + 300 * i));
+        break;
+      default:
+        plans.push_back(Dim2Plan(1.5 * i, 15.0 + 7 * i));
+        break;
+    }
+  }
+  std::vector<std::vector<std::string>> wants;
+  for (const auto& plan : plans) wants.push_back(Reference(plan).CanonicalRows());
+
+  for (std::size_t bits : {2, 3, 4}) {
+    CJoinOptions options;
+    options.max_queries = bits;
+    CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), options,
+                           db_->metrics());
+    constexpr int kClients = 6;
+    constexpr int kPerClient = 6;
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int k = 0; k < kPerClient; ++k) {
+          const std::size_t i = (c * kPerClient + k * 5) % plans.size();
+          auto got = RunThroughCJoin(&pipeline, plans[i]);
+          if (!got.ok() || got.value().CanonicalRows() != wants[i]) {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(wrong.load(), 0) << "max_queries=" << bits;
+  }
+}
+
+TEST_F(CJoinTest, DeadlineEndsAQueryWithinItsCycle) {
+  // No fact row passes this star's fact predicate, so nothing is ever
+  // routed to it: only the driver can notice the deadline.
+  auto silent = TwoDimPlan(/*fact_lt=*/0);
+  auto plan = TwoDimPlan();
+  const ResultSet want = Reference(plan);
+  // 2 ms per fact page: one cycle of 16 pages on 2 workers takes >= 16 ms.
+  db_->SetDiskResident(/*read_latency_micros=*/2000, /*bandwidth_mib=*/1500);
+  ColdFactWarmDimensions();
+  CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), CJoinOptions{},
+                         db_->metrics());
+  const int64_t tuples_before = Counted(metrics::kCjoinFactTuplesIn);
+
+  auto ctx = std::make_shared<ExecContext>(1, db_->metrics());
+  ctx->ArmDeadline(Trace::NowMicros() + 1000, /*timeout_ms=*/1);
+  auto got = RunThroughCJoin(&pipeline, silent, ctx);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
+      << got.status().ToString();
+  EXPECT_LT(Counted(metrics::kCjoinFactTuplesIn) - tuples_before,
+            static_cast<int64_t>(FactTable()->num_rows()))
+      << "the query must stop before its cycle ends";
+
+  // Its bit came back clean: the next query is exact.
+  db_->SetDiskResident(/*read_latency_micros=*/0, /*bandwidth_mib=*/0);
+  auto again = RunThroughCJoin(&pipeline, plan);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ExpectResultsEquivalent(want, again.value());
+}
+
+TEST_F(CJoinTest, CancelledQueryLeavesItsCycleWithoutOutput) {
+  // Nothing is routed to this star, so the distributor never sees it:
+  // the driver must notice the cancellation between pages.
+  auto silent = TwoDimPlan(/*fact_lt=*/0);
+  db_->SetDiskResident(/*read_latency_micros=*/2000, /*bandwidth_mib=*/1500);
+  ColdFactWarmDimensions();
+  CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), CJoinOptions{},
+                         db_->metrics());
+  const int64_t admitted_before = Counted(metrics::kCjoinQueriesAdmitted);
+  const int64_t tuples_before = Counted(metrics::kCjoinFactTuplesIn);
+
+  auto ctx = std::make_shared<ExecContext>(1, db_->metrics());
+  StatusOr<ResultSet> got = Status::Internal("not run");
+  std::thread query([&] { got = RunThroughCJoin(&pipeline, silent, ctx); });
+  while (Counted(metrics::kCjoinQueriesAdmitted) == admitted_before) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ctx->Cancel();
+  query.join();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kAborted);
+  EXPECT_LT(Counted(metrics::kCjoinFactTuplesIn) - tuples_before,
+            static_cast<int64_t>(FactTable()->num_rows()))
+      << "the query must stop before its cycle ends";
+}
+
+TEST_F(CJoinTest, QueryCancelledWhilePendingIsNeverAdmitted) {
+  auto plan = OneDimPlan();
+  const ResultSet want = Reference(plan);
+  // The only bit stays taken for a slow cycle (>= 40 ms).
+  db_->SetDiskResident(/*read_latency_micros=*/5000, /*bandwidth_mib=*/1500);
+  ColdFactWarmDimensions();
+  CJoinOptions options;
+  options.max_queries = 1;
+  CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), options,
+                         db_->metrics());
+  const int64_t admitted_before = Counted(metrics::kCjoinQueriesAdmitted);
+
+  StatusOr<ResultSet> first = Status::Aborted("not run");
+  std::thread holder([&] { first = RunThroughCJoin(&pipeline, plan); });
+  while (Counted(metrics::kCjoinQueriesAdmitted) == admitted_before) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  auto ctx = std::make_shared<ExecContext>(2, db_->metrics());
+  StatusOr<ResultSet> waiting = Status::Internal("not run");
+  std::thread waiter(
+      [&] { waiting = RunThroughCJoin(&pipeline, plan, ctx); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ctx->Cancel();
+  waiter.join();
+  ASSERT_FALSE(waiting.ok());
+  EXPECT_EQ(waiting.status().code(), StatusCode::kAborted);
+
+  holder.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ExpectResultsEquivalent(want, first.value());
+  EXPECT_EQ(Counted(metrics::kCjoinQueriesAdmitted) - admitted_before, 1);
+}
+
+TEST_F(CJoinTest, FactPageReadFaultFailsOnlyTheQueriesOwedThatPage) {
+  const std::vector<PlanNodeRef> plans = {TwoDimPlan(), OneDimPlan(1),
+                                          Dim2Plan(6.0, 50.0)};
+  std::vector<ResultSet> wants;
+  for (const auto& plan : plans) wants.push_back(Reference(plan));
+  // Only fact page 0 is cold, so the one injected read fault lands on the
+  // first page the cycle dispatches.
+  ColdFactWarmDimensions([](std::size_t p) { return p != 0; });
+  SHARING_CHECK_OK(FaultRegistry::Global().Arm("disk.read=once"));
+  CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), CJoinOptions{},
+                         db_->metrics());
+  const int64_t admitted_before = Counted(metrics::kCjoinQueriesAdmitted);
+
+  // The first query is admitted alone, so only it is owed that read; the
+  // others join later and meet page 0 again at the end of their cycle.
+  std::vector<StatusOr<ResultSet>> gots(plans.size(),
+                                        Status::Aborted("not run"));
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { gots[0] = RunThroughCJoin(&pipeline, plans[0]); });
+  while (Counted(metrics::kCjoinQueriesAdmitted) == admitted_before) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  for (std::size_t q = 1; q < plans.size(); ++q) {
+    threads.emplace_back(
+        [&, q] { gots[q] = RunThroughCJoin(&pipeline, plans[q]); });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(FaultRegistry::Global().Fires(fault_points::kDiskRead), 1u);
+  ASSERT_FALSE(gots[0].ok());
+  EXPECT_EQ(gots[0].status().code(), StatusCode::kIoError);
+  EXPECT_NE(gots[0].status().ToString().find(
+                "injected read fault for page " +
+                std::to_string(FactTable()->page_id(0))),
+            std::string::npos)
+      << gots[0].status().ToString();
+  for (std::size_t q = 1; q < plans.size(); ++q) {
+    ASSERT_TRUE(gots[q].ok()) << q << ": " << gots[q].status().ToString();
+    ExpectResultsEquivalent(wants[q], gots[q].value(),
+                            "query " + std::to_string(q));
+  }
 }
 
 TEST_F(CJoinTest, UnknownDimensionRejected) {
@@ -480,15 +834,17 @@ TEST_F(CJoinPrefetchTest, FactTableLargerThanPoolLeavesDimensionsResident) {
   pipeline.reset();
   scheduler->Shutdown();
 
-  // A second admission wave scans each dimension under the epoch lock
-  // (DimensionHashTable::AdmitQuery). The fact cycles recycled their own
-  // frames, so those scans must not miss once.
+  // A second admission wave loads each dimension into a fresh flat table
+  // (DimensionHashTable::Select). The fact cycles recycled their own
+  // frames, so those loads must not miss once.
   const int64_t misses_before = pool->GetStats().misses;
   for (const CJoinLevelSpec& level : Levels()) {
     const Table* dim = db_->catalog()->GetTable(level.dim_table).value();
     DimensionHashTable ht(dim, level.pk_col_in_dim, options.max_queries);
-    ASSERT_TRUE(ht.AdmitQuery(0, *TruePredicate()).ok());
-    EXPECT_GT(ht.NumEntries(), 0u);
+    auto sel = ht.Select(*TruePredicate());
+    ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+    EXPECT_TRUE(sel.value().all);
+    EXPECT_GT(ht.NumRows(), 0u);
   }
   EXPECT_EQ(pool->GetStats().misses, misses_before)
       << "dimension pages were evicted by the fact cycle";

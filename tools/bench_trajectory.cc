@@ -9,7 +9,8 @@
 //   io:         worst drain wall under a throttled budget, stall micros
 //   spill:      bounded-memory proof (retained high-water vs budget)
 //   kernels:    operator kernel rows/s (scan+filter, join build/probe,
-//               hash aggregate on Q1 and on a high-cardinality key)
+//               hash aggregate on Q1 and on a high-cardinality key,
+//               one CJOIN level's probe)
 //   scenario2:  64-client qps of sp-pull and gqp, and whether gqp >=
 //               sp-pull there (the paper's Scenario II claim; 1 = yes)
 //
@@ -200,7 +201,7 @@ void FoldKernels(const std::vector<std::string>& rows, Headline* out) {
     for (const char* key :
          {"scan_filter_rows_per_s", "join_build_rows_per_s",
           "join_probe_rows_per_s", "agg_q1_rows_per_s",
-          "agg_high_card_rows_per_s"}) {
+          "agg_high_card_rows_per_s", "cjoin_probe_rows_per_s"}) {
       double v = 0;
       if (NumField(row, key, &v)) (*out)[std::string("kernels_") + key] = v;
     }
