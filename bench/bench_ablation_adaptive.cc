@@ -194,8 +194,8 @@ SignatureReport RunHeterogeneous(Database* db, int rounds, int skinny_width,
           ++sum.unshared;
           break;
       }
-      sum.pages_shared += static_cast<int64_t>(stage.pages_shared);
-      sum.pages_copied += static_cast<int64_t>(stage.pages_copied);
+      sum.pages_shared += stage.pages_shared();
+      sum.pages_copied += stage.pages_copied();
       sum.run_micros += stage.run_micros;
     }
   }

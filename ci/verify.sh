@@ -113,7 +113,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake -B build-tsan -S . -DSHARING_TSAN=ON
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|BufferPoolTest|CircularScanPrefetchTest|CJoinTest|CJoinPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest'
+    -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|BufferPoolTest|CircularScanTest|LoopingScanTest|CircularScanPrefetchTest|CJoinTest|CJoinPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest'
 fi
 
 echo "verify: OK"

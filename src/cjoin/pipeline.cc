@@ -287,12 +287,10 @@ void CJoinPipeline::AdmitPending() {
 // ---------------------------------------------------------------------------
 
 void CJoinPipeline::DriverLoop() {
-  // A fact table larger than the pool misses on every page of every
-  // cycle under the clock, which is LRU-like; releasing each consumed
-  // page as the next victim (MRU) keeps a stable subset resident and
-  // leaves the dimension pages alone (DESIGN.md decision #16).
-  const bool release_as_next_victim =
-      fact_->num_pages() > fact_->buffer_pool()->num_frames();
+  // The looping-scan release rule QPipe's circular scans share: a fact
+  // table larger than the pool releases each consumed page as the next
+  // victim (DESIGN.md decision #16).
+  const bool release_as_next_victim = LoopsPastPool(fact_);
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(driver_mutex_);

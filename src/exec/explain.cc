@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string_view>
 
@@ -71,8 +70,8 @@ std::string QueryExplain::ToJson() const {
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   ",\"pages_shared\":%lld,\"pages_copied\":%lld}",
-                  static_cast<long long>(rec.pages_shared),
-                  static_cast<long long>(rec.pages_copied));
+                  static_cast<long long>(rec.pages_shared()),
+                  static_cast<long long>(rec.pages_copied()));
     out += buf;
   }
   out += "]}";
@@ -87,8 +86,8 @@ std::string QueryExplain::ToString() const {
         << std::dec << " " << ExplainRoleToString(rec.role) << "/"
         << rec.transport << " by=" << rec.decided_by
         << " run=" << rec.run_micros << "us pages=" << rec.pages_delivered;
-    if (rec.pages_shared > 0) out << " shared=" << rec.pages_shared;
-    if (rec.pages_copied > 0) out << " copied=" << rec.pages_copied;
+    if (rec.pages_shared() > 0) out << " shared=" << rec.pages_shared();
+    if (rec.pages_copied() > 0) out << " copied=" << rec.pages_copied();
     if (rec.spill_preferred) out << " spill";
   }
   return out.str();
@@ -133,20 +132,11 @@ QueryExplain ExplainState::Build(uint64_t query_id) const {
     rec.transport = p.transport;
     rec.decided_by = p.decided_by;
     rec.spill_preferred = p.spill_preferred;
-    rec.confidence = p.confidence;
+    rec.confidence = static_cast<float>(p.confidence);
     rec.run_micros = run_micros_[i];
     if (auto source = p.source.lock()) {
       rec.pages_delivered =
           static_cast<int64_t>(source->PagesDelivered());
-      if (rec.role == QueryExplain::StageRecord::Role::kSatellite) {
-        // A satellite's pages all came from the host: SPL references
-        // under pull, producer-thread deep copies under push.
-        if (std::strcmp(p.transport, "pull") == 0) {
-          rec.pages_shared = rec.pages_delivered;
-        } else if (std::strcmp(p.transport, "push") == 0) {
-          rec.pages_copied = rec.pages_delivered;
-        }
-      }
     }
     explain.stages.push_back(std::move(rec));
   }

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,7 +39,7 @@ struct QueryExplain {
       kSatellite,  // attached to an in-flight host; executed nothing
     };
 
-    // Fields are ordered widest first, so the record packs into 80 bytes
+    // Fields are ordered widest first, so the record packs into 56 bytes
     // on LP64 (completed queries keep theirs). Every string is static or
     // interned for the process (Trace::InternString).
     const char* stage = "";            // "TSCAN", "JOIN", ...
@@ -49,8 +50,6 @@ struct QueryExplain {
     /// "rerun" (a satellite re-dispatched unshared after its host died).
     const char* decided_by = "static";
     uint64_t signature = 0;  // plan-subtree signature (correlation id)
-    /// Model decisions only; 0 with decided_by "model" = the prior.
-    double confidence = 0;
 
     /// RunPacket wall time (0 for satellites — that is the work SP
     /// saved this query).
@@ -58,15 +57,29 @@ struct QueryExplain {
 
     /// Pages this query's reader consumed from the packet's output.
     int64_t pages_delivered = 0;
-    /// Of those, pages served from a host's SPL (pull satellites).
-    int64_t pages_shared = 0;
-    /// Of those, pages deep-copied into this query's FIFO by a push
-    /// host (push satellites).
-    int64_t pages_copied = 0;
+
+    /// Model decisions only; 0 with decided_by "model" = the prior.
+    float confidence = 0;
 
     Role role = Role::kUnshared;
     bool spill_preferred = false;  // model chose pull for the spill tier
+
+    /// Of the delivered pages, those served from a host's SPL: all of a
+    /// pull satellite's.
+    int64_t pages_shared() const { return SatellitePages("pull"); }
+    /// Of the delivered pages, those deep-copied into this query's FIFO
+    /// by a push host: all of a push satellite's.
+    int64_t pages_copied() const { return SatellitePages("push"); }
+
+   private:
+    int64_t SatellitePages(const char* via) const {
+      return role == Role::kSatellite && std::strcmp(transport, via) == 0
+                 ? pages_delivered
+                 : 0;
+    }
   };
+  static_assert(sizeof(void*) != 8 || sizeof(StageRecord) == 56,
+                "StageRecord is kept per completed query; keep it packed");
 
   uint64_t query_id = 0;
   /// Submit -> Collect-finished wall time (0 if never collected).

@@ -6,6 +6,14 @@
 
 namespace sharing {
 
+bool LoopsPastPool(const Table* table) {
+  return table->num_pages() > table->buffer_pool()->num_frames();
+}
+
+ScanPage::~ScanPage() {
+  if (loops_past_pool) guard.ReleaseAsNextVictim();
+}
+
 // ---------------------------------------------------------------------------
 // ScanReadahead
 // ---------------------------------------------------------------------------
@@ -170,6 +178,7 @@ std::size_t CircularScanGroup::ActiveConsumers() const {
 void CircularScanGroup::ProducerLoop() {
   BufferPool* pool = table_->buffer_pool();
   const std::size_t n_pages = table_->num_pages();
+  const bool loops_past_pool = LoopsPastPool(table_);
   for (;;) {
     // Snapshot the consumers that still want pages; prune finished ones.
     std::vector<std::shared_ptr<Ticket::Consumer>> active;
@@ -210,6 +219,7 @@ void CircularScanGroup::ProducerLoop() {
     auto page = std::make_shared<ScanPage>();
     page->guard = std::move(guard_or).value();
     page->position = position;
+    page->loops_past_pool = loops_past_pool;
     pages_read_->Increment();
 
     for (auto& c : active) {

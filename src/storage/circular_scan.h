@@ -24,6 +24,17 @@
 // circular scans of the engine: this group's producer and the CJOIN
 // pipeline's fact-table driver (src/cjoin/pipeline.h). Each calls
 // Ahead() with its read sequence just before it fetches a page.
+//
+// Both scans also share one release rule, `LoopsPastPool`. A table with
+// more pages than the pool has frames would miss on every page of every
+// cycle under the clock, which is LRU-like (Chou and DeWitt's "looping
+// sequential" pattern). So each page such a scan has consumed is
+// released as the pool's next eviction victim (MRU), and a stable part
+// of the table stays resident across cycles (DESIGN.md decision #16).
+// Here the last `ScanPageRef` to a page does the release: a page that
+// another consumer still holds is never hinted early, and a cancelled
+// consumer's queued pages go the same way. Readahead keeps the plain
+// release.
 
 #pragma once
 
@@ -45,12 +56,26 @@
 
 namespace sharing {
 
+/// The looping-scan release rule, shared by both circular scans: true
+/// when `table` has more pages than its buffer pool has frames, so a
+/// circular scan of it should release each page it has consumed with
+/// PageGuard::ReleaseAsNextVictim() instead of Release().
+bool LoopsPastPool(const Table* table);
+
 /// A pinned table page as delivered to scan consumers. `position` is the
 /// logical page index within the table (used by tests; consumers normally
-/// don't care about order).
+/// don't care about order). Shared by every consumer it was delivered
+/// to; the last reference unpins it.
 struct ScanPage {
+  ScanPage() = default;
+  /// Releases the pin, as the pool's next victim when the table loops
+  /// past the pool.
+  ~ScanPage();
+  SHARING_DISALLOW_COPY_AND_MOVE(ScanPage);
+
   PageGuard guard;
   uint64_t position = 0;
+  bool loops_past_pool = false;  // LoopsPastPool(table)
 
   const uint8_t* data() const { return guard.data(); }
 };

@@ -8,6 +8,7 @@
 #include <limits>
 #include <thread>
 
+#include "exec/explain.h"
 #include "exec/operators.h"
 #include "exec/reference_executor.h"
 #include "qpipe/fifo_buffer.h"
@@ -498,6 +499,81 @@ TEST_F(OperatorsTest, AbandonedConsumerStopsProducer) {
   out->CancelReader();
   Status st = RunScan(*scan, table, nullptr, &ctx, out.get());
   EXPECT_EQ(st.code(), StatusCode::kAborted);
+}
+
+// ---------------------------------------------------------------------------
+// Explain
+// ---------------------------------------------------------------------------
+
+/// A reader that reports a fixed PagesDelivered() and yields nothing.
+class DeliveredSource : public PageSource {
+ public:
+  explicit DeliveredSource(std::size_t n) : n_(n) {}
+  PageRef Next() override { return nullptr; }
+  Status FinalStatus() const override { return Status::OK(); }
+  std::size_t PagesDelivered() const override { return n_; }
+
+ private:
+  std::size_t n_;
+};
+
+TEST(ExplainTest, SharedAndCopiedPagesDeriveFromRoleAndTransport) {
+  using Role = QueryExplain::StageRecord::Role;
+  ExplainState state;
+  auto add = [&](const char* stage, uint64_t sig, Role role,
+                 const char* transport, const char* decided_by,
+                 double confidence, bool spill,
+                 const std::shared_ptr<PageSource>& source) {
+    ExplainState::PendingStage p;
+    p.stage = stage;
+    p.signature = sig;
+    p.role = role;
+    p.transport = transport;
+    p.decided_by = decided_by;
+    p.confidence = confidence;
+    p.spill_preferred = spill;
+    p.source = source;
+    return state.AddStage(std::move(p));
+  };
+  auto pull_satellite = std::make_shared<DeliveredSource>(7);
+  auto push_satellite = std::make_shared<DeliveredSource>(5);
+  auto host = std::make_shared<DeliveredSource>(9);
+  add("TSCAN", 0xabc, Role::kSatellite, "pull", "attach", 0, false,
+      pull_satellite);
+  add("JOIN", 0xdef, Role::kSatellite, "push", "model", 0.625, false,
+      push_satellite);
+  state.AddRunMicros(
+      add("AGG", 0x123, Role::kHost, "pull", "model", 0.8, true, host), 1500);
+  // A reader gone before Build reports no pages, shared or otherwise.
+  add("TSCAN", 0x456, Role::kSatellite, "pull", "attach", 0, false,
+      std::make_shared<DeliveredSource>(3));
+
+  const QueryExplain explain = state.Build(42);
+  ASSERT_EQ(explain.stages.size(), 4u);
+  EXPECT_EQ(explain.stages[0].pages_shared(), 7);
+  EXPECT_EQ(explain.stages[0].pages_copied(), 0);
+  EXPECT_EQ(explain.stages[1].pages_shared(), 0);
+  EXPECT_EQ(explain.stages[1].pages_copied(), 5);
+  EXPECT_EQ(explain.stages[2].pages_shared(), 0);
+  EXPECT_EQ(explain.stages[2].pages_copied(), 0);
+
+  // Both renderings are pinned byte for byte: admin and bench consumers
+  // parse them.
+  EXPECT_EQ(
+      explain.ToJson(),
+      R"({"query_id":42,"total_micros":0,"stages":[)"
+      R"({"stage":"TSCAN","signature":"0xabc","role":"satellite","transport":"pull","decided_by":"attach","spill_preferred":false,"confidence":0.000,"run_micros":0,"pages_delivered":7,"pages_shared":7,"pages_copied":0},)"
+      R"({"stage":"JOIN","signature":"0xdef","role":"satellite","transport":"push","decided_by":"model","spill_preferred":false,"confidence":0.625,"run_micros":0,"pages_delivered":5,"pages_shared":0,"pages_copied":5},)"
+      R"({"stage":"AGG","signature":"0x123","role":"host","transport":"pull","decided_by":"model","spill_preferred":true,"confidence":0.800,"run_micros":1500,"pages_delivered":9,"pages_shared":0,"pages_copied":0},)"
+      R"({"stage":"TSCAN","signature":"0x456","role":"satellite","transport":"pull","decided_by":"attach","spill_preferred":false,"confidence":0.000,"run_micros":0,"pages_delivered":0,"pages_shared":0,"pages_copied":0}]})");
+  EXPECT_EQ(explain.ToString(),
+            "query 42 (0us)\n"
+            "  TSCAN sig=0xabc satellite/pull by=attach run=0us pages=7 "
+            "shared=7\n"
+            "  JOIN sig=0xdef satellite/push by=model run=0us pages=5 "
+            "copied=5\n"
+            "  AGG sig=0x123 host/pull by=model run=1500us pages=9 spill\n"
+            "  TSCAN sig=0x456 satellite/pull by=attach run=0us pages=0");
 }
 
 }  // namespace
