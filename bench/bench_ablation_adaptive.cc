@@ -56,7 +56,7 @@ RunResult RunMixedWorkload(Database* db, SpMode mode, int bursts,
   // A registry per run so monotonic values (the retention high-water
   // mark in particular) are attributable to this mode alone.
   MetricsRegistry metrics;
-  QPipeOptions options = QPipeOptions::AllSp(mode);
+  QPipeOptions options{.sp_mode = mode};
   QPipeEngine engine(db->catalog(), options, &metrics);
   PlanNodeRef hot = tpch::MakeQ1Plan(90);
 
@@ -139,7 +139,7 @@ struct SignatureReport {
 SignatureReport RunHeterogeneous(Database* db, int rounds, int skinny_width,
                                  int fat_width) {
   MetricsRegistry metrics;
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
+  QPipeOptions options{.sp_mode = SpMode::kAdaptive};
   options.cost_model_min_samples = 2;  // engage the model early in a smoke run
   QPipeEngine engine(db->catalog(), options, &metrics);
 

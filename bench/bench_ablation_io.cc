@@ -190,7 +190,7 @@ int main() {
           std::fprintf(
               json,
               "%s  {\"io_threads\": %zu, \"read_latency_micros\": %u, "
-              "\"io_budget_mib\": %zu, \"pages\": %zu, "
+              "\"budget_mib_per_sec\": %zu, \"pages\": %zu, "
               "\"write_latency_micros\": %u, \"append_ms\": %.3f, "
               "\"drain_ms\": %.3f, \"pages_spilled\": %lld, "
               "\"unspill_reads\": %lld, \"stall_micros\": %lld, "

@@ -61,10 +61,11 @@ int main() {
             // sub-plan (CJOIN's input) but not the whole plan, so sharing
             // must happen at the CJOIN stage — the paper's Fig. 2 set-up.
             params.agg_variant = static_cast<int>(client % 8);
-            // Four-dimension star: a wider star makes admission (scanning
-            // every dimension under the pipeline's exclusive epoch) a
-            // visible fraction of the cycle, which is the cost SP on the
-            // CJOIN stage avoids for duplicate sub-plans.
+            // Four-dimension star: a wider star makes each admission
+            // costlier (the query evaluates its predicates over four
+            // dimension tables on its own thread). SP on the CJOIN stage
+            // skips admission for a duplicate sub-plan, along with its
+            // emission and the operators above the GQP.
             params.join_part = true;
             return ssb::ParameterizedStarPlan(params);
           },

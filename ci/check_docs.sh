@@ -5,7 +5,9 @@
 #   2. Every field of QPipeOptions (src/qpipe/engine.h), EngineConfig
 #      (src/core/sharing_engine.h) and CostModelOptions
 #      (src/qpipe/cost_model.h) must have its own table row in
-#      docs/KNOBS.md.
+#      docs/KNOBS.md, and every backticked name in the first cell of a
+#      docs/KNOBS.md table row must be a field of one of them (so a
+#      removed knob cannot leave a stale row behind).
 #   3. Every canonical metric name in src/common/metrics.h must be named
 #      in docs/METRICS.md.
 # The point: the documentation surface cannot silently rot as knobs and
@@ -37,8 +39,8 @@ done
 # Extract member names of a top-level struct (`struct Name {` or
 # `struct Name : Base {`): lines at brace depth 1 that declare a field (no
 # '(', ends in ';'), taking the last identifier before the
-# default/semicolon. Nested function bodies (e.g. AllSp) sit at depth >= 2
-# and are skipped. Inherited fields are checked through the base struct.
+# default/semicolon. Nested function bodies sit at depth >= 2 and are
+# skipped. Inherited fields are checked through the base struct.
 extract_fields() {
   local file="$1" struct="$2"
   awk -v s="$struct" '
@@ -87,6 +89,24 @@ check_knobs() {
 check_knobs src/qpipe/engine.h QPipeOptions
 check_knobs src/core/sharing_engine.h EngineConfig
 check_knobs src/qpipe/cost_model.h CostModelOptions
+
+# The other direction: first cells of body rows (a header row is the one
+# right above a |---| separator and is skipped).
+known_fields=$(extract_fields src/qpipe/engine.h QPipeOptions
+               extract_fields src/core/sharing_engine.h EngineConfig
+               extract_fields src/qpipe/cost_model.h CostModelOptions)
+while IFS= read -r name; do
+  [[ -z "$name" ]] && continue
+  if ! grep -qxF "$name" <<<"$known_fields"; then
+    echo "docs-check: docs/KNOBS.md row \`$name\` is not a field of QPipeOptions, EngineConfig or CostModelOptions"
+    fail=1
+  fi
+done < <(awk -F'|' '
+    /^\|[-: |]+$/ { prev = ""; next }
+    /^\| / { if (prev != "") print prev; prev = $2; next }
+    { if (prev != "") print prev; prev = "" }
+    END { if (prev != "") print prev }
+  ' docs/KNOBS.md | grep -oE '`[^`]+`' | tr -d '`')
 
 # --- 3. metric coverage -----------------------------------------------------
 while IFS= read -r metric; do

@@ -22,6 +22,12 @@ ci/check_docs.sh
 echo "=== tier-1: release build + ctest ==="
 run_suite build
 
+echo "=== perfbench: standalone build of the end-to-end harness ==="
+# The benchmark harness compiles the engine sources with its own
+# CMakeLists; an engine API change that breaks bench_e2e.cc fails here.
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j "$JOBS"
+
 echo "=== trace pipeline: traced smoke run + export validation ==="
 # Runs the pull-model host+satellite smoke with tracing on, then
 # validates the Chrome JSON (well-formed, monotonic per tid, all five

@@ -50,7 +50,7 @@ int RunOnce(std::size_t budget, double sf) {
     return 1;
   }
 
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kPull);
+  QPipeOptions options{.sp_mode = SpMode::kPull};
   options.sp_memory_budget = budget;
   QPipeEngine engine(db.catalog(), options, db.metrics());
 

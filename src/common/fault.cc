@@ -137,7 +137,15 @@ FaultHit FaultRegistry::Check(const char* point) {
 
 void FaultRegistry::BindMetrics(MetricsRegistry* metrics) {
   std::lock_guard<std::mutex> lock(mutex_);
+  bound_metrics_ = metrics;
   injected_ = metrics->GetCounter(metrics::kFaultInjected);
+}
+
+void FaultRegistry::UnbindMetrics(MetricsRegistry* metrics) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (bound_metrics_ != metrics) return;
+  bound_metrics_ = &MetricsRegistry::Global();
+  injected_ = bound_metrics_->GetCounter(metrics::kFaultInjected);
 }
 
 std::string FaultRegistry::DescribeJson() const {

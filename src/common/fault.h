@@ -92,6 +92,11 @@ class FaultRegistry {
   /// its own registry at construction so fires show up on /metrics).
   void BindMetrics(MetricsRegistry* metrics);
 
+  /// Rebinds to MetricsRegistry::Global() if `metrics` is still the bound
+  /// registry (an engine's destructor calls this, so a later fire never
+  /// writes into a destroyed registry).
+  void UnbindMetrics(MetricsRegistry* metrics);
+
   /// JSON dump for the admin /faults endpoint: armed flag, spec, seed,
   /// and per-point {mode, arg, payload, triggers, fires}.
   std::string DescribeJson() const;
@@ -124,6 +129,7 @@ class FaultRegistry {
   std::unordered_map<std::string, PointState> points_;
   uint64_t seed_ = 42;
   std::string spec_;
+  MetricsRegistry* bound_metrics_ = nullptr;
   Counter* injected_ = nullptr;
 };
 

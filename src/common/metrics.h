@@ -317,8 +317,6 @@ inline constexpr const char* kWatchdogIoSaturation = "watchdog.io_saturation";
 inline constexpr const char* kWatchdogSpillThrash = "watchdog.spill_thrash";
 inline constexpr const char* kWatchdogUnhealthy =
     "watchdog.unhealthy";  // gauge
-inline constexpr const char* kWatchdogCancelledQueries =
-    "watchdog.cancelled_queries";
 // Fault domains (src/common/fault.h and docs/ROBUSTNESS.md): injected
 // faults, the IoScheduler's transient-failure retries, the governor's
 // spill-disabled degradation latch, and satellite unshared re-runs after

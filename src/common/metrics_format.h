@@ -5,15 +5,15 @@
 //    ({name:value,...}; the flat snapshot is itself defined as the
 //    projection of the typed one — see FlattenTypedSnapshot). The
 //    bench JSON files embed it in their "metrics" rows.
-//  * MetricsJsonLine: the StatsReporter's and admin server's JSON-lines
-//    format ({"uptime_ms":N,"metrics":<MetricsJsonObject>}).
+//  * MetricsJsonLine: the admin server's `GET /metrics.json` body
+//    ({"uptime_ms":N,"metrics":<MetricsJsonObject>}).
 //  * MetricsPrometheusText: the admin server's `GET /metrics` body in
 //    the Prometheus text exposition format (version 0.0.4), rendered
 //    from the typed snapshot so counters/gauges/histograms keep their
 //    kinds (# TYPE lines, summary quantile labels).
 //
 // Because every serializer consumes the same registry snapshot, the
-// JSON-lines sink, the bench JSON and a Prometheus scrape can never
+// JSON line, the bench JSON and a Prometheus scrape can never
 // disagree about a metric's value or name set.
 
 #pragma once

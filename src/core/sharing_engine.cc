@@ -28,12 +28,12 @@ SharingEngine::SharingEngine(Database* db, EngineConfig config)
                                          db_->metrics());
 
   if (!config_.fact_table.empty()) {
-    // The fact scan reads ahead through the engine's I/O scheduler with
-    // the same depth as QPipe's circular scans (none when io_threads=0).
+    // The fact scan reads ahead through the engine's I/O scheduler, at
+    // the same default depth as QPipe's circular scans (none when
+    // io_threads=0).
     pipeline_ = std::make_unique<CJoinPipeline>(
         db_->catalog(), config_.fact_table, config_.cjoin_levels,
-        config_.cjoin, db_->metrics(), qpipe_->io_scheduler(),
-        config_.scan_prefetch_depth);
+        config_.cjoin, db_->metrics(), qpipe_->io_scheduler());
     // The CJOIN stage runs on the same derived options as every QPipe
     // stage: its sharing sessions count against the same SP budget and
     // spill through the same store. SetMode routes star joins to it.

@@ -38,7 +38,7 @@ std::string_view EngineModeToString(EngineMode mode);
 /// The SharingEngine's configuration: every QPipeOptions knob (handed to
 /// the QPipe engine as is, and to the CJOIN stage through the same
 /// derived Stage::Options) plus the fields only the SharingEngine reads.
-/// `mode` overrides the inherited per-stage scan_sp/join_sp/agg_sp/sort_sp.
+/// `mode` overrides the inherited sp_mode.
 struct EngineConfig : QPipeOptions {
   EngineMode mode = EngineMode::kQueryCentric;
 

@@ -73,17 +73,9 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
     SHARING_CHECK(fault_st.ok())
         << "bad fault_spec: " << fault_st.ToString();
   }
-  if (options_.stats_report_period_ms > 0) {
-    StatsReporter::Options ropts;
-    ropts.metrics = metrics_;
-    ropts.period_ms = options_.stats_report_period_ms;
-    ropts.path = options_.stats_report_path;
-    stats_reporter_ = std::make_unique<StatsReporter>(std::move(ropts));
-  }
   if (options_.io_threads > 0) {
     IoScheduler::Options iopts;
     iopts.threads = options_.io_threads;
-    iopts.budget_mib_per_sec = options_.io_budget_mib;
     iopts.retry_limit = options_.io_retry_limit;
     iopts.metrics = metrics_;
     io_scheduler_ = std::make_shared<IoScheduler>(iopts);
@@ -93,7 +85,6 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
     gopts.budget_pages = options_.sp_memory_budget;
     gopts.spill_path = options_.sp_spill_path;
     gopts.scheduler = io_scheduler_;
-    gopts.spill_write_window = options_.spill_write_window;
     gopts.metrics = metrics_;
     sp_governor_ = SpBudgetGovernor::Create(std::move(gopts));
   }
@@ -107,13 +98,10 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
   base.governor = sp_governor_;
 
   Stage::Options o = base;
-  o.sp_mode = options_.scan_sp;
+  o.sp_mode = options_.sp_mode;
   tscan_ = std::make_unique<TscanStage>(o, metrics_);
-  o.sp_mode = options_.join_sp;
   join_ = std::make_unique<JoinStage>(o, metrics_);
-  o.sp_mode = options_.agg_sp;
   agg_ = std::make_unique<AggStage>(o, metrics_);
-  o.sp_mode = options_.sort_sp;
   sort_ = std::make_unique<SortStage>(o, metrics_);
 
   // Admin/introspection surface, last: its inspector callbacks read
@@ -162,21 +150,6 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
       }
       return depths;
     };
-    inspector.cancel_query = [this](uint64_t id) {
-      std::shared_ptr<ExecContext> ctx;
-      {
-        std::lock_guard<std::mutex> lock(live_mutex_);
-        auto it = live_queries_.find(id);
-        if (it == live_queries_.end()) return false;
-        ctx = it->second.ctx.lock();
-      }
-      if (ctx == nullptr || ctx->cancelled()) return false;
-      // Context-only cancel (no PageSource to hand the watchdog): park
-      // loops poll the context in bounded slices, so the stop still
-      // propagates without a reader-side wakeup.
-      ctx->Cancel();
-      return true;
-    };
     inspector.spill_health = [this] {
       return sp_governor_ != nullptr ? sp_governor_->DisabledReason()
                                      : Status::OK();
@@ -185,11 +158,6 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
     if (options_.watchdog_period_ms > 0) {
       Watchdog::Options wopts;
       wopts.period_ms = options_.watchdog_period_ms;
-      wopts.query_slo_ms = options_.watchdog_query_slo_ms;
-      wopts.parked_reader_ms = options_.watchdog_parked_reader_ms;
-      wopts.io_queue_depth_limit = options_.watchdog_io_queue_depth;
-      wopts.spill_thrash_pages = options_.watchdog_spill_thrash_pages;
-      wopts.cancel_over_slo = options_.watchdog_cancel_over_slo;
       watchdog_ = std::make_unique<Watchdog>(wopts, inspector);
       watchdog_->Start();
     }
@@ -231,9 +199,9 @@ QPipeEngine::~QPipeEngine() {
   // Submit starts returning nullptr, so the remaining members can be
   // destroyed in any order.
   if (io_scheduler_ != nullptr) io_scheduler_->Shutdown();
-  // Last: the reporter's final snapshot then sees every shutdown-path
-  // metric (dropped I/O jobs, final reclamations).
-  if (stats_reporter_ != nullptr) stats_reporter_->Stop();
+  // A fault fired after this engine is gone must not count into its
+  // (soon destroyed) registry.
+  FaultRegistry::Global().UnbindMetrics(metrics_);
 }
 
 void QPipeEngine::SetSpModeAllStages(SpMode mode) {
@@ -250,8 +218,7 @@ CircularScanGroup* QPipeEngine::ScanGroupFor(const Table* table) {
     it = scan_groups_
              .emplace(table,
                       std::make_unique<CircularScanGroup>(
-                          table, /*queue_depth=*/4, metrics_, io_scheduler_,
-                          options_.scan_prefetch_depth))
+                          table, /*queue_depth=*/4, metrics_, io_scheduler_))
              .first;
   }
   return it->second.get();

@@ -15,7 +15,6 @@
 #include <mutex>
 #include <optional>
 
-#include "common/stats_reporter.h"
 #include "common/status_or.h"
 #include "exec/result.h"
 #include "qpipe/stages.h"
@@ -28,10 +27,10 @@ class AdminServer;
 class Watchdog;
 
 struct QPipeOptions {
-  SpMode scan_sp = SpMode::kOff;
-  SpMode join_sp = SpMode::kOff;
-  SpMode agg_sp = SpMode::kOff;
-  SpMode sort_sp = SpMode::kOff;
+  /// SP mode every stage starts in (SharingEngine overrides it from
+  /// EngineConfig::mode). A per-stage mode is set at run time through the
+  /// stage, e.g. scan_stage()->SetSpMode(SpMode::kPull).
+  SpMode sp_mode = SpMode::kOff;
 
   /// Circular shared scans at the storage layer (independent of SP).
   bool shared_scans = true;
@@ -75,19 +74,6 @@ struct QPipeOptions {
   /// page-at-a-time (the pre-IoScheduler behavior).
   std::size_t io_threads = 2;
 
-  /// Per-priority-class token-bucket budget in MiB/s (scan-prefetch,
-  /// fault-back, spill-write each get their own bucket); 0 = unthrottled.
-  std::size_t io_budget_mib = 0;
-
-  /// Max spill writes in flight before SpillAsync declines (bounds the
-  /// transient over-budget residency of pinned-until-durable victims).
-  std::size_t spill_write_window = 16;
-
-  /// Pages of circular-scan readahead issued through the scheduler's
-  /// kScanPrefetch class (QPipe scans and, via SharingEngine, the CJOIN
-  /// fact scan); 0 disables scan prefetch.
-  std::size_t scan_prefetch_depth = 4;
-
   /// Query-lifecycle tracing (see common/trace.h, docs/TRACING.md).
   /// Enables the process-wide recorder at engine construction; spans
   /// export as Chrome trace-event JSON via Trace::ExportChromeJson.
@@ -97,13 +83,6 @@ struct QPipeOptions {
   /// Per-thread trace ring capacity in events (overwrite-oldest).
   /// Bounded memory: threads * trace_buffer_events * ~176 bytes.
   std::size_t trace_buffer_events = 8192;
-
-  /// Period of the StatsReporter thread emitting full metrics-registry
-  /// snapshots as JSON lines; 0 = no reporter thread.
-  std::size_t stats_report_period_ms = 0;
-
-  /// StatsReporter sink file (appended); empty = stderr.
-  std::string stats_report_path;
 
   /// Embedded admin/introspection HTTP server (see server/admin_server.h):
   /// -1 = no TCP listener, 0 = ephemeral port on 127.0.0.1 (read it back
@@ -116,29 +95,9 @@ struct QPipeOptions {
 
   /// Stall-watchdog sampling period; 0 = no watchdog thread. The
   /// watchdog only runs when the admin server is enabled (it is the
-  /// /healthz verdict source).
+  /// /healthz verdict source); its thresholds are Watchdog::Options'
+  /// defaults.
   std::size_t watchdog_period_ms = 1000;
-
-  /// Watchdog: a live query older than this is flagged.
-  std::size_t watchdog_query_slo_ms = 10000;
-
-  /// Watchdog: a reader parked longer than this on an unclosed sharing
-  /// channel is flagged.
-  std::size_t watchdog_parked_reader_ms = 5000;
-
-  /// Watchdog: an I/O priority class with at least this many queued
-  /// jobs is flagged; 0 disables the check.
-  std::size_t watchdog_io_queue_depth = 256;
-
-  /// Watchdog: spilled + faulted-back pages per period beyond which the
-  /// engine is declared thrashing; 0 disables the check.
-  std::size_t watchdog_spill_thrash_pages = 512;
-
-  /// Watchdog escalation: when a live query exceeds the age SLO
-  /// (watchdog_query_slo_ms), cancel it instead of only flagging it in
-  /// /healthz. Off by default — the SLO is a warning threshold, not a
-  /// guarantee; per-query budgets belong in query_timeout_ms.
-  bool watchdog_cancel_over_slo = false;
 
   /// Per-query wall-clock budget in milliseconds; 0 = unlimited. An
   /// expired query stops at the next page boundary (operator polls,
@@ -160,13 +119,6 @@ struct QPipeOptions {
   /// time. An invalid spec fails engine construction loudly (a chaos run
   /// that silently tests nothing is worse than one that refuses to run).
   std::string fault_spec;
-
-  /// Applies `mode` to all four stages.
-  static QPipeOptions AllSp(SpMode mode) {
-    QPipeOptions o;
-    o.scan_sp = o.join_sp = o.agg_sp = o.sort_sp = mode;
-    return o;
-  }
 };
 
 /// A submitted query: pull pages from it, collect everything, or cancel.
@@ -310,7 +262,6 @@ class QPipeEngine {
   std::shared_ptr<IoScheduler> io_scheduler_;
   std::shared_ptr<SpBudgetGovernor> sp_governor_;
   Stage::Options base_stage_options_;
-  std::unique_ptr<StatsReporter> stats_reporter_;
   std::unique_ptr<TscanStage> tscan_;
   std::unique_ptr<JoinStage> join_;
   std::unique_ptr<AggStage> agg_;

@@ -3,7 +3,7 @@
 // the PR 7 observability spine reachable while the engine serves:
 //
 //   GET /metrics            Prometheus text exposition format
-//   GET /metrics.json       the StatsReporter JSON-lines body
+//   GET /metrics.json       one JSON line: {"uptime_ms":N,"metrics":{...}}
 //   GET /channels           live sharing sessions, per-reader state
 //   GET /cost_model         per-signature cost-model snapshots
 //   GET /queries            in-flight queries (age, stage, pages)

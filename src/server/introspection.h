@@ -52,11 +52,6 @@ struct EngineInspector {
   /// when the engine runs without an IoScheduler.
   std::function<std::vector<std::size_t>()> io_queue_depths;
 
-  /// Cancels one in-flight query by id (the watchdog's over-SLO
-  /// escalation). Returns false when the id is unknown or already
-  /// finished. Absent: escalation unavailable.
-  std::function<bool(uint64_t)> cancel_query;
-
   /// The SP spill tier's health: OK while usable (or not configured),
   /// otherwise the Status that latched it off
   /// (SpBudgetGovernor::DisabledReason) — surfaced as a /healthz detail.

@@ -19,8 +19,6 @@ Watchdog::Watchdog(Options options, EngineInspector inspector)
           inspector_.metrics->GetCounter(metrics::kWatchdogIoSaturation)),
       spill_thrash_(
           inspector_.metrics->GetCounter(metrics::kWatchdogSpillThrash)),
-      cancelled_queries_(inspector_.metrics->GetCounter(
-          metrics::kWatchdogCancelledQueries)),
       unhealthy_(inspector_.metrics->GetGauge(metrics::kWatchdogUnhealthy)),
       warn_query_(static_cast<int64_t>(options.warn_interval_ms)),
       warn_parked_(static_cast<int64_t>(options.warn_interval_ms)),
@@ -75,13 +73,6 @@ void Watchdog::TickNow() {
             << "ms), stage=" << query.stage
             << ", pages_delivered=" << query.pages_delivered
             << " [suppressed " << warn_query_.suppressed() << "]";
-      }
-      if (options_.cancel_over_slo && inspector_.cancel_query &&
-          inspector_.cancel_query(query.query_id)) {
-        cancelled_queries_->Increment();
-        SHARING_LOG_QID(Warning, query.query_id)
-            << "watchdog: escalated — cancelled query over SLO after "
-            << query.age_micros / 1000 << "ms at " << query.stage;
       }
     }
   }

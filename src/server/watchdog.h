@@ -71,13 +71,6 @@ class Watchdog {
 
     /// Minimum interval between emitted warnings, per condition.
     std::size_t warn_interval_ms = 5000;
-
-    /// Escalation for condition 1: cancel an over-SLO query (through
-    /// EngineInspector::cancel_query) instead of only flagging it. Each
-    /// escalation bumps `watchdog.cancelled_queries`; the query's
-    /// Collect observes Aborted (or DeadlineExceeded when its own
-    /// deadline also expired).
-    bool cancel_over_slo = false;
   };
 
   /// The verdict /healthz serves. `reasons` is empty when healthy;
@@ -119,7 +112,6 @@ class Watchdog {
   Counter* parked_readers_;
   Counter* io_saturation_;
   Counter* spill_thrash_;
-  Counter* cancelled_queries_;
   Gauge* unhealthy_;
 
   LogRateLimiter warn_query_;

@@ -234,7 +234,7 @@ class AdminEngineTest : public ::testing::Test {
 };
 
 TEST_F(AdminEngineTest, EndpointsServeEngineState) {
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kPull);
+  QPipeOptions options{.sp_mode = SpMode::kPull};
   options.admin_port = 0;
   options.watchdog_period_ms = 50;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
@@ -296,7 +296,7 @@ TEST_F(AdminEngineTest, EndpointsServeEngineState) {
 }
 
 TEST_F(AdminEngineTest, ExplainAndQueriesSeeInFlightQuery) {
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kPull);
+  QPipeOptions options{.sp_mode = SpMode::kPull};
   options.admin_port = 0;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
   const int port = engine.admin_server()->port();
@@ -330,7 +330,7 @@ TEST_F(AdminEngineTest, ExplainAndQueriesSeeInFlightQuery) {
 /// TSan target: four scrapers hammer every endpoint while queries run.
 /// The scrape path must ride existing synchronization only.
 TEST_F(AdminEngineTest, ConcurrentScrapersVsRunningQueries) {
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kPull);
+  QPipeOptions options{.sp_mode = SpMode::kPull};
   options.admin_port = 0;
   options.watchdog_period_ms = 5;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
@@ -456,7 +456,7 @@ TEST(WatchdogTest, HealthyLoadStaysHealthy) {
   }
   ASSERT_TRUE(appender.Finish().ok());
 
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kPull);
+  QPipeOptions options{.sp_mode = SpMode::kPull};
   options.admin_port = 0;
   options.watchdog_period_ms = 5;
   QPipeEngine engine(db->catalog(), options, db->metrics());

@@ -58,7 +58,7 @@ TEST(CancelRaceTest, CancelHostWhileSatellitesConsume) {
   ASSERT_TRUE(want.ok());
   const auto want_rows = want.value().CanonicalRows();
 
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kPull);
+  QPipeOptions options{.sp_mode = SpMode::kPull};
   QPipeEngine engine(db->catalog(), options, db->metrics());
 
   constexpr int kRounds = 8;

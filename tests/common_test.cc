@@ -1,5 +1,5 @@
-// Unit tests for src/common: status, bitmaps, random, metrics, dates,
-// queues and pools.
+// Unit tests for src/common: status, random, metrics, dates, queues and
+// pools.
 
 #include <gtest/gtest.h>
 
@@ -8,12 +8,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/bitvector.h"
 #include "common/concurrent_queue.h"
 #include "common/elastic_pool.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/stats_reporter.h"
 #include "common/status.h"
 #include "common/status_or.h"
 #include "common/stopwatch.h"
@@ -67,89 +65,6 @@ Status ReturnsEarly(bool fail) {
 TEST(StatusTest, ReturnNotOkMacro) {
   EXPECT_TRUE(ReturnsEarly(false).ok());
   EXPECT_EQ(ReturnsEarly(true).code(), StatusCode::kAborted);
-}
-
-// ---------------------------------------------------------------------------
-// QuerySet
-// ---------------------------------------------------------------------------
-
-TEST(QuerySetTest, SetTestClear) {
-  QuerySet s(130);
-  EXPECT_TRUE(s.None());
-  s.Set(0);
-  s.Set(64);
-  s.Set(129);
-  EXPECT_TRUE(s.Test(0));
-  EXPECT_TRUE(s.Test(64));
-  EXPECT_TRUE(s.Test(129));
-  EXPECT_FALSE(s.Test(1));
-  EXPECT_EQ(s.Count(), 3u);
-  s.Clear(64);
-  EXPECT_FALSE(s.Test(64));
-  EXPECT_EQ(s.Count(), 2u);
-}
-
-TEST(QuerySetTest, AllSetRespectsCapacity) {
-  QuerySet s = QuerySet::AllSet(70);
-  EXPECT_EQ(s.Count(), 70u);
-  EXPECT_TRUE(s.Test(69));
-}
-
-TEST(QuerySetTest, IntersectShortCircuits) {
-  QuerySet a(64), b(64);
-  a.Set(3);
-  a.Set(7);
-  b.Set(7);
-  b.Set(9);
-  EXPECT_TRUE(a.IntersectWith(b));
-  EXPECT_TRUE(a.Test(7));
-  EXPECT_FALSE(a.Test(3));
-  EXPECT_EQ(a.Count(), 1u);
-
-  QuerySet c(64);
-  c.Set(1);
-  EXPECT_FALSE(a.IntersectWith(c));
-  EXPECT_TRUE(a.None());
-}
-
-TEST(QuerySetTest, UnionAndSubtract) {
-  QuerySet a(64), b(64);
-  a.Set(1);
-  b.Set(2);
-  a.UnionWith(b);
-  EXPECT_EQ(a.Count(), 2u);
-  a.SubtractAll(b);
-  EXPECT_TRUE(a.Test(1));
-  EXPECT_FALSE(a.Test(2));
-}
-
-TEST(QuerySetTest, ForEachSetBitAscending) {
-  QuerySet s(200);
-  std::vector<std::size_t> want = {0, 63, 64, 127, 128, 199};
-  for (auto b : want) s.Set(b);
-  std::vector<std::size_t> got;
-  s.ForEachSetBit([&](std::size_t b) { got.push_back(b); });
-  EXPECT_EQ(got, want);
-}
-
-TEST(QuerySetTest, ToStringListsBits) {
-  QuerySet s(64);
-  s.Set(0);
-  s.Set(3);
-  s.Set(17);
-  EXPECT_EQ(s.ToString(), "{0,3,17}");
-}
-
-TEST(BitmapTest, AndInPlaceDetectsEmpty) {
-  uint64_t a[2] = {0xF0, 0x1};
-  uint64_t b[2] = {0x0F, 0x0};
-  EXPECT_FALSE(BitmapAndInPlace(a, b, 2));
-  EXPECT_FALSE(BitmapAny(a, 2));
-
-  uint64_t c[2] = {0xFF, 0x0};
-  uint64_t d[2] = {0x10, 0x1};
-  EXPECT_TRUE(BitmapAndInPlace(c, d, 2));
-  EXPECT_EQ(c[0], 0x10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,44 +252,6 @@ TEST(MetricsTest, SnapshotIncludesHistogramViews) {
   EXPECT_GE(snap["lat.p50"], 100);
   EXPECT_LE(snap["lat.p99"], 200);
   EXPECT_GE(snap["lat.p99"], snap["lat.p50"]);
-}
-
-TEST(StatsReporterTest, EmitsSelfContainedJsonLines) {
-  MetricsRegistry registry;
-  registry.GetCounter("c")->Add(4);
-  registry.GetHistogram("lat")->Record(64);
-  std::mutex mu;
-  std::vector<std::string> lines;
-  StatsReporter::Options opts;
-  opts.metrics = &registry;
-  opts.period_ms = 0;  // final snapshot only — no timer flakiness
-  opts.sink = [&](const std::string& line) {
-    std::lock_guard<std::mutex> lock(mu);
-    lines.push_back(line);
-  };
-  StatsReporter reporter(std::move(opts));
-  reporter.EmitNow();
-  reporter.Stop();  // emits the final snapshot
-  EXPECT_EQ(reporter.lines_emitted(), 2);
-  ASSERT_EQ(lines.size(), 2u);
-  for (const auto& line : lines) {
-    EXPECT_NE(line.find("\"uptime_ms\":"), std::string::npos);
-    EXPECT_NE(line.find("\"c\":4"), std::string::npos);
-    EXPECT_NE(line.find("\"lat.count\":1"), std::string::npos);
-  }
-}
-
-TEST(StatsReporterTest, StopIsIdempotent) {
-  MetricsRegistry registry;
-  int count = 0;
-  StatsReporter::Options opts;
-  opts.metrics = &registry;
-  opts.period_ms = 0;
-  opts.sink = [&](const std::string&) { ++count; };
-  StatsReporter reporter(std::move(opts));
-  reporter.Stop();
-  reporter.Stop();  // second call must not emit a duplicate final line
-  EXPECT_EQ(count, 1);
 }
 
 // ---------------------------------------------------------------------------

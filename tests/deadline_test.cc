@@ -133,12 +133,12 @@ TEST_F(DeadlineTest, HostFailureBeforeFirstPageRerunsSatelliteUnshared) {
   // which leaves a wide-open window to attach the satellite and arm the
   // append fault.
   QPipeOptions options;
-  options.scan_sp = SpMode::kOff;  // scans move through plain FIFOs
-  options.agg_sp = SpMode::kPull;
   options.stage_workers = 1;
   options.stage_max_workers = 1;
   options.fifo_capacity = 2;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
+  // Scans move through plain FIFOs; only the aggregate shares.
+  engine.agg_stage()->SetSpMode(SpMode::kPull);
 
   QueryHandle blocker = engine.Submit(ScanPlan());
   QueryHandle host = engine.Submit(AggPlan());
@@ -188,12 +188,11 @@ TEST_F(DeadlineTest, SatelliteRerunHappensAtMostOnce) {
         std::vector<AggSpec>{AggSpec::Count("n")});
   };
   QPipeOptions options;
-  options.scan_sp = SpMode::kOff;
-  options.agg_sp = SpMode::kPull;
   options.stage_workers = 1;
   options.stage_max_workers = 1;
   options.fifo_capacity = 2;
   QPipeEngine engine(db->catalog(), options, db->metrics());
+  engine.agg_stage()->SetSpMode(SpMode::kPull);
 
   QueryHandle blocker = engine.Submit(PlanNodeRef(scan()));
   QueryHandle host = engine.Submit(agg());

@@ -152,7 +152,7 @@ class QPipeSpTest : public QPipeTest,
                     public ::testing::WithParamInterface<SpMode> {};
 
 TEST_P(QPipeSpTest, IdenticalQueriesShareAndMatchReference) {
-  QPipeOptions options = QPipeOptions::AllSp(GetParam());
+  QPipeOptions options{.sp_mode = GetParam()};
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
   constexpr int kQueries = 8;
@@ -174,7 +174,7 @@ TEST_P(QPipeSpTest, IdenticalQueriesShareAndMatchReference) {
 }
 
 TEST_P(QPipeSpTest, BatchSubmissionProducesSatellites) {
-  QPipeOptions options = QPipeOptions::AllSp(GetParam());
+  QPipeOptions options{.sp_mode = GetParam()};
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
   constexpr int kQueries = 6;
@@ -200,7 +200,7 @@ TEST_P(QPipeSpTest, BatchSubmissionProducesSatellites) {
 }
 
 TEST_P(QPipeSpTest, DifferentPredicatesDoNotShare) {
-  QPipeOptions options = QPipeOptions::AllSp(GetParam());
+  QPipeOptions options{.sp_mode = GetParam()};
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
   std::vector<QueryHandle> handles;
@@ -222,7 +222,7 @@ INSTANTIATE_TEST_SUITE_P(PushPullAdaptive, QPipeSpTest,
                          });
 
 TEST_F(QPipeTest, AdaptiveSharesHotQueriesAndSkipsColdOnes) {
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
+  QPipeOptions options{.sp_mode = SpMode::kAdaptive};
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
   // Cold phase: distinct plans; the adaptive policy must not host sharing
@@ -264,7 +264,7 @@ TEST_F(QPipeTest, AdaptivePopularityLruKeepsHotSignaturesUnderColdChurn) {
   // be recognized by the scan stage's cost model on each re-touch while the
   // one-offs are gated cold. (Eviction itself, at a tiny capacity, is
   // pinned by SharingCostModelTest.PopularityGapsSurviveColdChurn.)
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
+  QPipeOptions options{.sp_mode = SpMode::kAdaptive};
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
   ASSERT_TRUE(engine.Execute(AggPlan()).ok());  // prime the hot template
@@ -296,7 +296,7 @@ TEST_F(QPipeTest, MixedSignaturesGetPerSignatureAdmissions) {
   // big laggy result goes pull (cheap attaches, retention absorbed),
   // while the one-pager never does (push copies of one page beat pull
   // bookkeeping, or sharing is skipped outright).
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
+  QPipeOptions options{.sp_mode = SpMode::kAdaptive};
   options.cost_model_min_samples = 2;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
@@ -380,7 +380,7 @@ TEST_F(QPipeTest, PushSpCopiesPagesPullSpShares) {
   // Push mode must report copied pages; pull mode must not copy at all.
   auto run = [&](SpMode mode) {
     auto before = db_->metrics()->Snapshot();
-    QPipeEngine engine(db_->catalog(), QPipeOptions::AllSp(mode),
+    QPipeEngine engine(db_->catalog(), QPipeOptions{.sp_mode = mode},
                        db_->metrics());
     std::vector<QueryHandle> handles;
     for (int q = 0; q < 4; ++q) handles.push_back(engine.Submit(AggPlan()));
@@ -406,7 +406,7 @@ TEST_F(QPipeTest, PullSpWindowWiderThanPush) {
   // the pull engine still shares when queries arrive staggered (host
   // already running), while results stay correct in both modes.
   auto run_staggered = [&](SpMode mode) {
-    QPipeEngine engine(db_->catalog(), QPipeOptions::AllSp(mode),
+    QPipeEngine engine(db_->catalog(), QPipeOptions{.sp_mode = mode},
                        db_->metrics());
     QueryHandle h1 = engine.Submit(AggPlan());
     // Give the host time to start scanning (and emit pages).
@@ -426,7 +426,7 @@ TEST_F(QPipeTest, PullSpWindowWiderThanPush) {
 }
 
 TEST_F(QPipeTest, SatelliteCancelLeavesHostIntact) {
-  QPipeEngine engine(db_->catalog(), QPipeOptions::AllSp(SpMode::kPull),
+  QPipeEngine engine(db_->catalog(), QPipeOptions{.sp_mode = SpMode::kPull},
                      db_->metrics());
   // Submit two identical queries; cancel the second (satellite) early.
   QueryHandle host = engine.Submit(AggPlan());

@@ -1,20 +1,16 @@
-// Robustness & utility coverage: histogram metrics, CSV import/export,
-// I/O fault injection (plain scans, shared circular scans, the CJOIN
-// pipeline, whole-engine queries), and buffer-pool exhaustion. The common
-// thread: failures must surface as Status, never as hangs, crashes, or
-// silently short results.
+// Robustness & utility coverage: histogram metrics, I/O fault injection
+// (plain scans, shared circular scans, the CJOIN pipeline, whole-engine
+// queries), and buffer-pool exhaustion. The common thread: failures must
+// surface as Status, never as hangs, crashes, or silently short results.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 #include "common/fault.h"
 #include "core/sharing_engine.h"
-#include "exec/reference_executor.h"
 #include "storage/circular_scan.h"
-#include "storage/csv.h"
 #include "test_util.h"
 #include "workload/ssb.h"
 
@@ -95,127 +91,6 @@ TEST(HistogramTest, RegistryPointerStable) {
 }
 
 // ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-class CsvTest : public ::testing::Test {
- protected:
-  Schema MixedSchema() {
-    return Schema({Column::Int64("id"), Column::Double("score"),
-                   Column::DateCol("day"), Column::String("name", 12)});
-  }
-};
-
-TEST_F(CsvTest, RoundTripAllTypes) {
-  auto db = MakeTestDatabase();
-  Schema schema = MixedSchema();
-  auto* table =
-      db->catalog()->CreateTable("src", schema, db->buffer_pool()).value();
-  {
-    TableAppender appender(table);
-    appender.AppendRow().value().SetInt64(0, 42).SetDouble(1, 2.5).SetDate(
-        2, MakeDate(1994, 7, 3)).SetString(3, "alpha");
-    appender.AppendRow().value().SetInt64(0, -7).SetDouble(1, 0.125).SetDate(
-        2, MakeDate(1998, 12, 31)).SetString(3, "beta, g");
-    SHARING_CHECK_OK(appender.Finish());
-  }
-
-  std::ostringstream out;
-  ASSERT_TRUE(ExportCsv(*table, out).ok());
-
-  std::istringstream in(out.str());
-  auto rows = ImportCsv(db->catalog(), db->buffer_pool(), "copy", schema, in);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(rows.value(), 2);
-
-  // Byte-identical rows after the round trip.
-  ReferenceExecutor ref(db->catalog());
-  auto scan = [&](const char* name) {
-    auto node = std::make_shared<ScanNode>(
-        name, schema, TruePredicate(),
-        std::vector<std::size_t>{0, 1, 2, 3});
-    return ref.Execute(*node).value().CanonicalRows();
-  };
-  EXPECT_EQ(scan("src"), scan("copy"));
-}
-
-TEST_F(CsvTest, QuotedFieldsWithDelimiterAndQuotes) {
-  auto db = MakeTestDatabase();
-  Schema schema({Column::Int64("id"), Column::String("s", 16)});
-  std::istringstream in("id,s\n1,\"a,b\"\n2,\"say \"\"hi\"\"\"\n");
-  auto rows = ImportCsv(db->catalog(), db->buffer_pool(), "q", schema, in);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(rows.value(), 2);
-
-  auto* table = db->catalog()->GetTable("q").value();
-  std::ostringstream out;
-  ASSERT_TRUE(ExportCsv(*table, out).ok());
-  EXPECT_NE(out.str().find("\"a,b\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST_F(CsvTest, HeaderMismatchRejected) {
-  auto db = MakeTestDatabase();
-  Schema schema({Column::Int64("id")});
-  std::istringstream in("wrong\n1\n");
-  auto rows = ImportCsv(db->catalog(), db->buffer_pool(), "t", schema, in);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_NE(rows.status().message().find("header"), std::string::npos);
-}
-
-TEST_F(CsvTest, MalformedValuesCarryRowAndColumn) {
-  auto db = MakeTestDatabase();
-  Schema schema({Column::Int64("id"), Column::Double("score")});
-  std::istringstream in("id,score\n1,2.5\nx,3.5\n");
-  auto rows = ImportCsv(db->catalog(), db->buffer_pool(), "t", schema, in);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_NE(rows.status().message().find("row 1"), std::string::npos);
-  EXPECT_NE(rows.status().message().find("'id'"), std::string::npos);
-}
-
-TEST_F(CsvTest, WrongFieldCountRejected) {
-  auto db = MakeTestDatabase();
-  Schema schema({Column::Int64("a"), Column::Int64("b")});
-  std::istringstream in("a,b\n1,2,3\n");
-  EXPECT_FALSE(
-      ImportCsv(db->catalog(), db->buffer_pool(), "t", schema, in).ok());
-}
-
-TEST_F(CsvTest, StringWiderThanColumnRejected) {
-  auto db = MakeTestDatabase();
-  Schema schema({Column::String("s", 3)});
-  std::istringstream in("s\ntoolong\n");
-  auto rows = ImportCsv(db->catalog(), db->buffer_pool(), "t", schema, in);
-  ASSERT_FALSE(rows.ok());
-  EXPECT_NE(rows.status().message().find("width"), std::string::npos);
-}
-
-TEST_F(CsvTest, NoHeaderMode) {
-  auto db = MakeTestDatabase();
-  Schema schema({Column::Int64("id")});
-  std::istringstream in("5\n6\n");
-  CsvOptions options;
-  options.header = false;
-  auto rows =
-      ImportCsv(db->catalog(), db->buffer_pool(), "t", schema, in, options);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value(), 2);
-}
-
-TEST_F(CsvTest, ExportSsbDateRoundTrips) {
-  auto db = MakeTestDatabase();
-  SHARING_CHECK_OK(ssb::GenerateAll(db->catalog(), db->buffer_pool(), 0.002));
-  auto* date = db->catalog()->GetTable("date").value();
-  std::ostringstream out;
-  ASSERT_TRUE(ExportCsv(*date, out).ok());
-  std::istringstream in(out.str());
-  auto rows = ImportCsv(db->catalog(), db->buffer_pool(), "date2",
-                        date->schema(), in);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(static_cast<uint64_t>(rows.value()), date->num_rows());
-}
-
-// ---------------------------------------------------------------------------
 // Fault injection
 // ---------------------------------------------------------------------------
 
@@ -282,6 +157,21 @@ TEST_F(FaultTest, CircularScanTicketReportsError) {
   while (auto page = ticket->Next()) ++pages_seen;
   EXPECT_FALSE(ticket->FinalStatus().ok());
   EXPECT_LT(pages_seen, table_->num_pages());
+}
+
+TEST_F(FaultTest, DestroyedEngineReleasesTheFaultCounter) {
+  // An engine binds the fault counter to its own registry; once both are
+  // gone, a fire must count into the global registry, not freed memory.
+  Counter* global =
+      MetricsRegistry::Global().GetCounter(metrics::kFaultInjected);
+  {
+    MetricsRegistry local;
+    QPipeEngine engine(db_->catalog(), QPipeOptions{}, &local);
+  }
+  const int64_t before = global->Get();
+  SHARING_CHECK_OK(FaultRegistry::Global().Arm("disk.read=once"));
+  EXPECT_TRUE(SHARING_FAULT_POINT(fault_points::kDiskRead));
+  EXPECT_EQ(global->Get(), before + 1);
 }
 
 TEST_F(FaultTest, CjoinPipelineFailsQueriesOnFactScanError) {

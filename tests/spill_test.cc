@@ -285,7 +285,7 @@ class SpillEngineTest : public ::testing::Test {
 
 TEST_F(SpillEngineTest, StalledReaderHoldsBudgetAndDrainsBitExact) {
   constexpr std::size_t kBudget = 8;
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kPull);
+  QPipeOptions options{.sp_mode = SpMode::kPull};
   options.sp_memory_budget = kBudget;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
@@ -321,7 +321,7 @@ TEST_F(SpillEngineTest, StalledReaderHoldsBudgetAndDrainsBitExact) {
 }
 
 TEST_F(SpillEngineTest, CancelledStalledReaderFreesSpill) {
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kPull);
+  QPipeOptions options{.sp_mode = SpMode::kPull};
   options.sp_memory_budget = 4;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
@@ -353,7 +353,7 @@ TEST_F(SpillEngineTest, AdaptivePrefersPullSpillWhenRetentionExceedsBudget) {
   // push convoy, and a 4-page budget puts the retention forecast far
   // beyond what memory holds.
   constexpr int kSatellites = 6;
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
+  QPipeOptions options{.sp_mode = SpMode::kAdaptive};
   options.cost_model_min_samples = 1;
   options.sp_memory_budget = 4;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
