@@ -44,6 +44,7 @@
 
 #include "bench_common.h"
 #include "common/metrics_format.h"
+#include "qpipe/batch_pipe.h"
 #include "qpipe/sharing_channel.h"
 #include "server/admin_server.h"
 
@@ -54,7 +55,8 @@ namespace {
 
 constexpr std::size_t kRowWidth = 64;
 constexpr std::size_t kRowsPerPage = 128;  // 8 KiB of row bytes per page
-constexpr std::size_t kAppendBatch = 8;    // the engine's sp_read_batch
+// Pages per put and per read, as at the engine's stage boundaries.
+constexpr std::size_t kAppendBatch = kTransportBatch;
 constexpr std::size_t kSpillBudgetPages = 32;
 
 PageRef MakePage(int64_t tag) {

@@ -39,8 +39,13 @@ int64_t CountRows(const uint8_t* frame) {
 class ReplaySource final : public PageSource {
  public:
   explicit ReplaySource(const std::vector<PageRef>& pages) : pages_(pages) {}
-  PageRef Next() override {
-    return next_ < pages_.size() ? pages_[next_++] : nullptr;
+  std::size_t NextBatch(std::size_t max_pages,
+                        std::vector<PageRef>* out) override {
+    std::size_t got = 0;
+    for (; got < max_pages && next_ < pages_.size(); ++got) {
+      out->push_back(pages_[next_++]);
+    }
+    return got;
   }
   Status FinalStatus() const override { return Status::OK(); }
 
@@ -53,9 +58,11 @@ class ReplaySource final : public PageSource {
 class CollectSink final : public PageSink {
  public:
   explicit CollectSink(bool keep) : keep_(keep) {}
-  bool Put(PageRef page) override {
-    rows += static_cast<int64_t>(page->row_count());
-    if (keep_) pages.push_back(std::move(page));
+  bool PutBatch(std::vector<PageRef> batch) override {
+    for (PageRef& page : batch) {
+      rows += static_cast<int64_t>(page->row_count());
+      if (keep_) pages.push_back(std::move(page));
+    }
     return true;
   }
   void Close(Status final) override { SHARING_CHECK_OK(final); }

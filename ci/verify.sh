@@ -120,6 +120,13 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|BufferPoolTest|CircularScanTest|LoopingScanTest|CircularScanPrefetchTest|CJoinTest|CJoinPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest'
+
+  echo "=== SPL contention stress, repeated under ThreadSanitizer ==="
+  # One ctest pass can miss a rare interleaving between the lock-free
+  # slot read and the spill install; repeat the stress suite so a race
+  # there fails verify instead of surfacing once in a while.
+  build-tsan/sharing_channel_test --gtest_filter='SplContentionTest.*' \
+    --gtest_repeat=20
 fi
 
 echo "verify: OK"

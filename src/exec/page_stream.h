@@ -3,7 +3,8 @@
 // Operators read pages from PageSources and emit pages into PageSinks.
 // QPipe's FIFO buffers (push model) and the Shared Pages List (pull model)
 // both implement these interfaces, so operator code is agnostic to the
-// sharing mechanism wired around it.
+// sharing mechanism wired around it. Transports move pages in runs
+// (NextBatch/PutBatch); the single-page Next/Put are built on them.
 
 #pragma once
 
@@ -21,26 +22,25 @@ class PageSource {
  public:
   virtual ~PageSource() = default;
 
-  /// Blocks for the next page. Returns nullptr at end-of-stream.
-  virtual PageRef Next() = 0;
-
-  /// Batched pull: appends up to `max_pages` pages to `out` and returns
-  /// how many were delivered; 0 means end-of-stream. Blocks like Next()
-  /// until at least one page is available, but never waits for more than
-  /// one — whatever is immediately available rides along. Sources with a
-  /// lock on their hot path override this to amortize one acquisition
-  /// over the whole run; the default delegates to Next().
+  /// Pulls the next run of pages: appends up to `max_pages` pages to
+  /// `out` and returns how many were delivered; 0 means end-of-stream.
+  /// Blocks until at least one page is available, but never waits for
+  /// more than one — whatever is immediately available rides along, so
+  /// a transport pays its lock or publication cost once per run.
   virtual std::size_t NextBatch(std::size_t max_pages,
-                                std::vector<PageRef>* out) {
-    if (max_pages == 0) return 0;
-    PageRef page = Next();
-    if (page == nullptr) return 0;
-    out->push_back(std::move(page));
-    return 1;
+                                std::vector<PageRef>* out) = 0;
+
+  /// One page (nullptr at end-of-stream), as a one-page NextBatch.
+  /// Operators read page at a time through a BatchingSource, the one
+  /// source that overrides this to serve pages from a buffered run.
+  virtual PageRef Next() {
+    std::vector<PageRef> one;
+    if (NextBatch(1, &one) == 0) return nullptr;
+    return std::move(one.front());
   }
 
-  /// Terminal status of the stream; meaningful after Next() returned
-  /// nullptr (an aborted producer surfaces kAborted here).
+  /// Terminal status of the stream; meaningful once a read reported
+  /// end-of-stream (an aborted producer surfaces kAborted here).
   virtual Status FinalStatus() const = 0;
 
   /// Consumer-side abandonment: tells the producer this consumer will
@@ -48,10 +48,10 @@ class PageSource {
   virtual void CancelConsumer() {}
 
   /// Reader-position contract: the number of pages this source has handed
-  /// out via Next() so far. Sharing channels compare reader positions
-  /// against pages produced to compute consumer lag (adaptive SP
-  /// admission) and to reclaim pages every reader has passed (bounded
-  /// pull-SP memory). Sources that cannot track a position return 0.
+  /// out so far. Sharing channels compare reader positions against pages
+  /// produced to compute consumer lag (adaptive SP admission) and to
+  /// reclaim pages every reader has passed (bounded pull-SP memory).
+  /// Sources that cannot track a position return 0.
   virtual std::size_t PagesDelivered() const { return 0; }
 
   /// Binds an external stop probe (query deadline / watchdog cancel):
@@ -71,20 +71,18 @@ class PageSink {
  public:
   virtual ~PageSink() = default;
 
-  /// Emits a page. Returns false when no consumer can ever read it again
-  /// (all consumers cancelled) — the producer should stop early.
-  virtual bool Put(PageRef page) = 0;
+  /// Emits a run of pages, in order. Returns false when no consumer can
+  /// ever read them (all consumers cancelled) — possibly after a prefix
+  /// was delivered — and the producer should stop early.
+  virtual bool PutBatch(std::vector<PageRef> pages) = 0;
 
-  /// Batched emit: delivers every page (in order) and returns false when
-  /// the consumers are gone — possibly after a prefix was delivered, just
-  /// as a sequence of Put calls could. Sinks with a lock or a fan-out
-  /// pass on their hot path override this to pay it once per batch; the
-  /// default delegates to Put().
-  virtual bool PutBatch(std::vector<PageRef> pages) {
-    for (PageRef& page : pages) {
-      if (!Put(std::move(page))) return false;
-    }
-    return true;
+  /// Emits one page, as a one-page PutBatch. Operators write page at a
+  /// time through a BatchingSink, the one sink that overrides this to
+  /// buffer a run before handing it on.
+  virtual bool Put(PageRef page) {
+    std::vector<PageRef> one;
+    one.push_back(std::move(page));
+    return PutBatch(std::move(one));
   }
 
   /// Ends the stream. `final` is OK for normal completion or the error

@@ -1,13 +1,14 @@
 // Batch adapters between packet operators (which move one page at a
-// time) and the sharing transports (whose batched APIs amortize one lock
-// acquisition — or one SPL publication + wake sweep — over a run of
-// pages).
+// time) and the sharing transports (which move runs of pages, paying one
+// lock acquisition — or one SPL publication + wake — per run).
 //
-// Operators keep their page-at-a-time loops; the Stage wraps a packet's
-// inputs in BatchingSource and its output in BatchingSink when
-// `sp_read_batch` > 1. The adapters are packet-local (exactly one
-// operator thread touches them), so they carry no locks of their own —
-// all concurrency lives in the wrapped transport.
+// Operators keep their page-at-a-time loops; the Stage wraps every
+// packet's inputs in BatchingSource and its output in BatchingSink, and
+// QPipeEngine::Submit wraps each query's root source, so every page
+// crossing a stage boundary rides a run of up to kTransportBatch pages.
+// The adapters are packet-local (one operator thread at a time touches
+// them), so they carry no locks of their own — all concurrency lives in
+// the wrapped transport.
 //
 // Semantics preserved, granularity coarsened:
 //  * BatchingSource::Next blocks exactly when the underlying source
@@ -31,9 +32,13 @@
 
 namespace sharing {
 
+/// Pages per transport call at every stage boundary.
+inline constexpr std::size_t kTransportBatch = 8;
+
 class BatchingSource final : public PageSource {
  public:
-  BatchingSource(PageSourceRef inner, std::size_t batch)
+  explicit BatchingSource(PageSourceRef inner,
+                          std::size_t batch = kTransportBatch)
       : inner_(std::move(inner)), batch_(batch == 0 ? 1 : batch) {
     buffer_.reserve(batch_);
   }
@@ -85,7 +90,8 @@ class BatchingSource final : public PageSource {
 
 class BatchingSink final : public PageSink {
  public:
-  BatchingSink(PageSinkRef inner, std::size_t batch)
+  explicit BatchingSink(PageSinkRef inner,
+                        std::size_t batch = kTransportBatch)
       : inner_(std::move(inner)), batch_(batch == 0 ? 1 : batch) {
     buffer_.reserve(batch_);
   }

@@ -3,6 +3,7 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
+#include "qpipe/batch_pipe.h"
 #include "server/admin_server.h"
 #include "server/watchdog.h"
 
@@ -93,7 +94,6 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
   base.initial_workers = options_.stage_workers;
   base.max_workers = options_.stage_max_workers;
   base.fifo_capacity = options_.fifo_capacity;
-  base.sp_read_batch = options_.sp_read_batch;
   base.cost_model.min_samples = options_.cost_model_min_samples;
   base.governor = sp_governor_;
 
@@ -336,7 +336,9 @@ QueryHandle QPipeEngine::Submit(PlanNodeRef plan) {
   }
   TraceSpan span("engine", "query.submit", ctx->query_id(),
                  plan->Signature());
-  PageSourceRef root = Dispatch(plan, ctx);
+  // The root is read in runs like every other stage boundary; explain
+  // records keep pointing at the sources the stages handed out.
+  PageSourceRef root = std::make_shared<BatchingSource>(Dispatch(plan, ctx));
   if (admin_server_ != nullptr || watchdog_ != nullptr) {
     // Register for /queries, /explain and the watchdog's age probe. The
     // weak context keeps registration from extending the query's life.

@@ -45,14 +45,6 @@ struct QPipeOptions {
   /// FIFO capacity in pages.
   std::size_t fifo_capacity = FifoBuffer::kDefaultCapacity;
 
-  /// Pages a packet moves per sharing-transport call (batched
-  /// SplReader::NextBatch / FifoBuffer::PushBatch/PopBatch, wired via
-  /// per-packet batch adapters): one lock acquisition — or one SPL
-  /// publication and parked-reader wake sweep — is amortized over up to
-  /// this many pages. 0 or 1 = page-at-a-time. Consumer-lag and
-  /// reclamation granularity coarsen to the batch size.
-  std::size_t sp_read_batch = 8;
-
   /// Closed sessions AND work samples a signature needs before the
   /// per-signature cost model (SpMode::kAdaptive) prices it; below this
   /// the model's prior hosts pull. 0 is clamped to 1 (a model with no
@@ -178,7 +170,7 @@ class QPipeEngine {
   SortStage* sort_stage() { return sort_.get(); }
 
   /// Stage::Options derived from QPipeOptions (workers, FIFO capacity,
-  /// batching, admission tuning, the SP governor), with sp_mode kOff.
+  /// admission tuning, the SP governor), with sp_mode kOff.
   /// Every stage is built from it, auxiliary stages such as CJOIN
   /// included.
   const Stage::Options& base_stage_options() const {

@@ -5,7 +5,7 @@
 // buffer (pipeline backpressure); the consumer blocks on an empty one.
 // Either side can leave early: Close(status) seals the stream from the
 // producer side; CancelReader() tells the producer its consumer is gone
-// (Put starts returning false).
+// (PutBatch starts returning false).
 
 #pragma once
 
@@ -31,27 +31,11 @@ class FifoBuffer final : public PageSource, public PageSink {
 
   // PageSink ----------------------------------------------------------------
 
-  bool Put(PageRef page) override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] {
-      return queue_.size() < capacity_ || reader_cancelled_ || closed_;
-    });
-    if (reader_cancelled_ || closed_) return false;
-    queue_.push_back(std::move(page));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
+  /// Blocks for space like a bounded queue (pipeline backpressure is
+  /// preserved page for page), but one lock acquisition covers as many
+  /// pages as capacity allows per wakeup. Returns false when the reader
+  /// is gone; a prefix may have been delivered.
   bool PutBatch(std::vector<PageRef> pages) override {
-    return PushBatch(pages);
-  }
-
-  /// Batched Put: one lock acquisition covers as many pages as capacity
-  /// allows per wakeup (still blocking for space like Put — pipeline
-  /// backpressure is preserved page-for-page). Returns false when the
-  /// reader is gone; a prefix may have been delivered, as with Puts.
-  bool PushBatch(std::vector<PageRef>& pages) {
     std::size_t next = 0;
     std::unique_lock<std::mutex> lock(mutex_);
     while (next < pages.size()) {
@@ -80,27 +64,10 @@ class FifoBuffer final : public PageSource, public PageSink {
 
   // PageSource --------------------------------------------------------------
 
-  PageRef Next() override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!WaitNotEmptyLocked(lock)) return nullptr;
-    if (queue_.empty()) return nullptr;
-    PageRef page = std::move(queue_.front());
-    queue_.pop_front();
-    ++delivered_;
-    lock.unlock();
-    not_full_.notify_one();
-    return page;
-  }
-
+  /// Drains up to `max_pages` buffered pages under one lock acquisition
+  /// (blocking for the first); 0 = closed and drained.
   std::size_t NextBatch(std::size_t max_pages,
                         std::vector<PageRef>* out) override {
-    return PopBatch(max_pages, out);
-  }
-
-  /// Batched Next: drains up to `max_pages` buffered pages under one lock
-  /// acquisition (blocking for the first page like Next); 0 = closed and
-  /// drained.
-  std::size_t PopBatch(std::size_t max_pages, std::vector<PageRef>* out) {
     if (max_pages == 0) return 0;
     std::size_t got = 0;
     {
@@ -133,7 +100,7 @@ class FifoBuffer final : public PageSource, public PageSink {
   /// Stop probe (query deadline / watchdog cancel): a consumer blocked on
   /// an empty buffer polls it in bounded wait slices instead of sleeping
   /// until the producer puts, and on a non-OK probe abandons the stream
-  /// with that status sticky in FinalStatus (the producer's next Put
+  /// with that status sticky in FinalStatus (the producer's next put
   /// returns false). Bind before the consumer's first read; the probe
   /// must be lock-free.
   void BindStopCheck(std::function<Status()> stop_check) override {
@@ -142,7 +109,7 @@ class FifoBuffer final : public PageSource, public PageSink {
   }
 
   /// Consumer-side abandonment: wakes a blocked producer and makes all
-  /// subsequent Put calls return false. Buffered pages are dropped.
+  /// subsequent puts return false. Buffered pages are dropped.
   void CancelReader() {
     {
       std::lock_guard<std::mutex> lock(mutex_);

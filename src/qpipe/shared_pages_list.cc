@@ -31,10 +31,9 @@ std::size_t SharedPagesList::AppendOneLocked(PageRef page) {
     segments_.push_back(std::move(seg));
     tail = segments_.back().get();
   }
-  // The slot itself is invisible until published_ covers it, so the page
-  // store needs no ordering of its own.
-  tail->slots[pos - tail->first].page.store(std::move(page),
-                                            std::memory_order_relaxed);
+  // The slot itself is invisible until published_ covers it; the latch
+  // only keeps the store uniform with the other writers.
+  tail->slots[pos - tail->first].Exchange(std::move(page));
   ++in_memory_;
   // seq_cst, not just release: the parked-flag sweep that follows must be
   // ordered after this store or a reader parking concurrently could miss
@@ -45,26 +44,6 @@ std::size_t SharedPagesList::AppendOneLocked(PageRef page) {
   return pos + 1;
 }
 
-std::size_t SharedPagesList::Append(PageRef page) {
-  std::size_t total;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) return 0;
-    if (NoObserversLocked()) {
-      // Everyone who was (or could ever be) interested has walked away.
-      return 0;
-    }
-    total = AppendOneLocked(std::move(page));
-  }
-  if (governor_ != nullptr) governor_->OnPagesRetained(1);
-  WakeFrontierParked(1);  // seed the chained wakeup (O(1) for the producer)
-  // Budget enforcement happens with no list lock held: the governor may
-  // shed this list's pages, another channel's drained history, or (last
-  // resort) our unread tail — see SpBudgetGovernor::Rebalance.
-  if (governor_ != nullptr) governor_->Rebalance(this);
-  return total;
-}
-
 std::size_t SharedPagesList::AppendBatch(std::vector<PageRef> pages) {
   if (pages.empty()) {
     return closed_.load(std::memory_order_acquire) ? 0 : TotalAppended();
@@ -73,11 +52,15 @@ std::size_t SharedPagesList::AppendBatch(std::vector<PageRef> pages) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_.load(std::memory_order_relaxed)) return 0;
+    // Everyone who was (or could ever be) interested has walked away.
     if (NoObserversLocked()) return 0;
     for (PageRef& page : pages) total = AppendOneLocked(std::move(page));
   }
   if (governor_ != nullptr) governor_->OnPagesRetained(pages.size());
   WakeFrontierParked(1);  // seed the chained wakeup (O(1) for the producer)
+  // Budget enforcement happens with no list lock held: the governor may
+  // shed this list's pages, another channel's drained history, or (last
+  // resort) our unread tail — see SpBudgetGovernor::Rebalance.
   if (governor_ != nullptr) governor_->Rebalance(this);
   return total;
 }
@@ -289,9 +272,9 @@ void SharedPagesList::MaybeReclaimLocked() {
     while (base_ < min_pos) {
       Slot& slot = SlotAtLocked(base_);
       // Readers never touch slots behind the min cursor (a reader only
-      // publishes its advance after taking its page reference), so the
-      // exchange cannot race a fast-path load of the same slot.
-      if (slot.page.exchange(nullptr, std::memory_order_relaxed) != nullptr) {
+      // publishes its advance after taking its page reference); the
+      // latch makes that ordering visible to the race detector as well.
+      if (slot.Exchange(nullptr) != nullptr) {
         ++freed_resident;
       }
       // A spilled slot's chain is deleted unread: dropping the last
@@ -352,10 +335,9 @@ std::size_t SharedPagesList::ShedForBudget(std::size_t max_pages,
       for (std::size_t pos = hi; pos-- > lo && victims.size() < max_pages;) {
         Slot& slot = SlotAtLocked(pos);
         if (slot.spilling) continue;
-        PageRef page = slot.page.load(std::memory_order_relaxed);
-        if (page == nullptr) continue;
+        if (slot.page == nullptr) continue;
         slot.spilling = true;
-        victims.push_back(Victim{pos, std::move(page)});
+        victims.push_back(Victim{pos, slot.page});
       }
     };
     collect(base_, drained_end);
@@ -400,14 +382,12 @@ void SharedPagesList::InstallSpilled(std::size_t pos, SpilledPageRef spilled) {
     Slot& slot = SlotAtLocked(pos);
     slot.spilling = false;
     if (spilled == nullptr) return;  // spill store unavailable / skipped
-    if (slot.page.load(std::memory_order_relaxed) == nullptr) {
-      return;  // already migrated (defensive)
-    }
+    if (slot.page == nullptr) return;  // already migrated (defensive)
     // Install the disk tier BEFORE dropping the memory tier: a lock-free
     // reader that loses the page load takes the list lock and must find
     // the spilled chain there.
     slot.spilled = std::move(spilled);
-    slot.page.store(nullptr, std::memory_order_release);
+    slot.Exchange(nullptr);
     --in_memory_;
     pages_retained_->Sub(1);
     released = true;
@@ -438,32 +418,6 @@ void SplReader::AdvanceTo(std::size_t next) {
   }
 }
 
-PageRef SplReader::Next() {
-  if (state_->cancelled.load(std::memory_order_relaxed)) return nullptr;
-  for (;;) {
-    const std::size_t pos = cursor_;
-    std::size_t published = list_->published_.load(std::memory_order_acquire);
-    if (pos < published) {
-      SharedPagesList::Slot& slot = SlotFor(pos);
-      if (PageRef page = slot.page.load(std::memory_order_acquire)) {
-        // The lock-free fast path: published resident page, no mutex.
-        AdvanceTo(pos + 1);
-        return page;
-      }
-      return SlowResolve(pos);
-    }
-    if (list_->closed_.load(std::memory_order_acquire)) {
-      // Re-check publication AFTER observing the close: the producer's
-      // final appends are ordered before its closed_ store, so this
-      // second load cannot miss them.
-      published = list_->published_.load(std::memory_order_acquire);
-      if (pos >= published) return nullptr;
-      continue;
-    }
-    if (!ParkUntilReady()) return nullptr;
-  }
-}
-
 std::size_t SplReader::NextBatch(std::size_t max_pages,
                                  std::vector<PageRef>* out) {
   if (max_pages == 0 || state_->cancelled.load(std::memory_order_relaxed)) {
@@ -477,7 +431,7 @@ std::size_t SplReader::NextBatch(std::size_t max_pages,
       std::size_t next = pos;
       while (next < want) {
         SharedPagesList::Slot& slot = SlotFor(next);
-        PageRef page = slot.page.load(std::memory_order_acquire);
+        PageRef page = slot.Load();
         if (page == nullptr) break;  // spilled: resolve on the next call
         out->push_back(std::move(page));
         ++next;
@@ -590,7 +544,7 @@ PageRef SplReader::SlowResolve(std::size_t pos) {
   // The fast path lost the race against a concurrent spill install (or a
   // fault-back follows a genuine migration); under the lock the slot's
   // tier assignment is stable.
-  PageRef page = slot.page.load(std::memory_order_relaxed);
+  PageRef page = slot.page;
   SpilledPageRef spilled = slot.spilled;
   auto governor = list_->governor_;
   // Peek the successor while still under the lock: if it has already
@@ -601,7 +555,7 @@ PageRef SplReader::SlowResolve(std::size_t pos) {
   if (governor != nullptr && governor->scheduler() != nullptr &&
       pos + 1 < list_->published_.load(std::memory_order_relaxed)) {
     SharedPagesList::Slot& next_slot = list_->SlotAtLocked(pos + 1);
-    if (next_slot.page.load(std::memory_order_relaxed) == nullptr) {
+    if (next_slot.page == nullptr) {
       readahead = next_slot.spilled;
     }
   }
@@ -681,7 +635,7 @@ void SplReader::Cancel() {
   }
   list_->active_readers_.fetch_sub(1, std::memory_order_acq_rel);
   // A cancel may arrive from another thread while this reader is parked
-  // in Next(): wake it so it observes the cancellation.
+  // in NextBatch(): wake it so it observes the cancellation.
   {
     { std::lock_guard<std::mutex> sync(state_->wait_mutex); }
     state_->wait_cv.notify_all();

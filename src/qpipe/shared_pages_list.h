@@ -14,15 +14,16 @@
 //  * Publication is seqlock-style: the producer fills an immutable slot
 //    and then advances the atomic published count (`published_`, release
 //    on store). A reader gates on `published_` (acquire) and reads the
-//    slot with NO lock — `SplReader::Next`/`NextBatch` on a resident,
-//    already-published page never touches the list mutex. Slots live in
+//    slot without the list mutex — `SplReader::NextBatch` over resident,
+//    already-published pages never touches it. Slots live in
 //    fixed-size segments linked by atomic next pointers; each reader
 //    holds a shared_ptr to its current segment, so reclamation can drop
 //    head segments without synchronizing with readers.
-//  * A slot's resident page is a `std::atomic<PageRef>` because the spill
-//    tier migrates pages to disk concurrently with lock-free readers: the
-//    reader either wins the load (and the resident page stays alive
-//    through its reference) or observes null and takes the slow path.
+//  * A slot's resident page sits behind a per-slot spin latch, held only
+//    to copy or swap the reference, because the spill tier migrates
+//    pages to disk concurrently with those readers: a reader either
+//    copies the page (its reference keeps it alive) or observes null and
+//    takes the slow path.
 //  * The list mutex is only taken on slow paths: attach/detach, spill
 //    fault-back, reclamation, close/seal, and the producer's append
 //    bookkeeping (`sp.lock_waits` counts reader slow paths).
@@ -54,7 +55,7 @@
 //    (ShedForBudget): drained and already-consumed pages anywhere spill
 //    first — an idle channel's cold history beats thrashing the active
 //    producer's fresh pages — and the I/O runs outside the list lock.
-//    A spilled page faults back bit-exactly on Next(); once every reader
+//    A spilled page faults back bit-exactly on read; once every reader
 //    passes it, reclamation deletes it unread. Spilling never needs the
 //    window sealed: a late attacher is served spilled history via
 //    fault-back.
@@ -115,18 +116,17 @@ class SharedPagesList
 
   SHARING_DISALLOW_COPY_AND_MOVE(SharedPagesList);
 
-  /// Producer: appends a page (no copy — all readers share it). Returns
-  /// the total pages appended so far, or 0 when no reader can ever
-  /// observe it (every reader cancelled, or the window is sealed with
-  /// none attached), signalling the producer to stop early. May spill
-  /// retained pages when the governor reports budget pressure.
-  std::size_t Append(PageRef page);
-
-  /// Batched append: publishes all pages with one bookkeeping pass, one
-  /// parked-reader wake sweep, and one governor rebalance. Same return
-  /// contract as Append (0 = nobody can ever observe the pages, nothing
-  /// was appended).
+  /// Producer: appends a run of pages (no copy — all readers share them)
+  /// with one bookkeeping pass, one parked-reader wake and one governor
+  /// rebalance. Returns the total pages appended so far, or 0 when no
+  /// reader can ever observe them (every reader cancelled, or the window
+  /// is sealed with none attached; nothing was appended), signalling the
+  /// producer to stop early. May spill retained pages when the governor
+  /// reports budget pressure.
   std::size_t AppendBatch(std::vector<PageRef> pages);
+
+  /// AppendBatch of one page.
+  std::size_t Append(PageRef page) { return AppendBatch({std::move(page)}); }
 
   /// Producer: seals the list with a terminal status and wakes every
   /// parked reader (they observe end-of-list once past the frontier).
@@ -259,13 +259,29 @@ class SharedPagesList
   /// per-shard spin latches, never the list mutex.
   static constexpr std::size_t kReaderShards = 8;
 
-  /// A retained position. `page` (memory tier) is atomic because the
-  /// lock-free reader fast path races the spill install and reclamation:
-  /// a reader either wins the load (its reference keeps the page alive)
-  /// or observes null and falls to the locked slow path. `spilled` and
-  /// `spilling` are guarded by mutex_.
+  /// A retained position. The resident page (memory tier) is read by the
+  /// lock-free reader fast path while the spill install and reclamation
+  /// swap it out, so it sits behind a per-slot spin latch held only to
+  /// copy or swap the reference: a reader either copies the page (its
+  /// reference keeps it alive) or sees null and falls to the locked slow
+  /// path. Every writer also holds mutex_, so mutex_ holders read `page`
+  /// directly. `spilled` and `spilling` are guarded by mutex_.
   struct Slot {
-    std::atomic<PageRef> page{nullptr};
+    /// Copies the resident page; null once spilled or reclaimed.
+    PageRef Load() const {
+      SpinLatchGuard guard(latch);
+      return page;
+    }
+    /// Replaces the resident page and returns the old one, which the
+    /// caller drops outside the latch. Requires mutex_ held.
+    PageRef Exchange(PageRef next) {
+      SpinLatchGuard guard(latch);
+      page.swap(next);
+      return next;
+    }
+
+    mutable SpinLatch latch;
+    PageRef page;  // written under latch + mutex_
     SpilledPageRef spilled;
     bool spilling = false;
   };
@@ -330,7 +346,7 @@ class SharedPagesList
   std::size_t AppendOneLocked(PageRef page);
 
   /// True when no present or future reader can observe an append (the
-  /// Append/AppendBatch early-stop contract). Requires mutex_ held.
+  /// AppendBatch early-stop contract). Requires mutex_ held.
   bool NoObserversLocked() const {
     return active_readers_.load(std::memory_order_relaxed) == 0 &&
            (ever_attached_ > 0 || sealed_.load(std::memory_order_relaxed));
@@ -422,19 +438,15 @@ class SplReader final : public PageSource {
   }
   SHARING_DISALLOW_COPY_AND_MOVE(SplReader);
 
-  /// Blocks for the page at this reader's cursor; nullptr at end-of-list.
-  /// Lock-free on a resident, already-published page. A spilled page is
-  /// faulted back from the governor's store (bit-exact reconstruction,
-  /// charged to sp.unspill_reads) — through the I/O scheduler's
-  /// kFaultBack class when one is configured, which also readaheads the
-  /// *next* slot if it is already spilled, so a sequential reader
-  /// overlaps fault-back latency with consumption.
-  PageRef Next() override;
-
-  /// Batched pull: up to `max_pages` already-published resident pages
-  /// with ONE cursor publication (and at most one reclamation probe).
-  /// Blocks like Next() when nothing is available; returns 0 only at
-  /// end-of-list (or after a fault-back error / cancel).
+  /// Up to `max_pages` already-published resident pages with ONE cursor
+  /// publication (and at most one reclamation probe); lock-free on that
+  /// run. Blocks when nothing is available; returns 0 only at
+  /// end-of-list (or after a fault-back error / cancel). A spilled page
+  /// at the cursor is faulted back alone from the governor's store
+  /// (bit-exact reconstruction, charged to sp.unspill_reads) — through
+  /// the I/O scheduler's kFaultBack class when one is configured, which
+  /// also readaheads the *next* slot if it is already spilled, so a
+  /// sequential reader overlaps fault-back latency with consumption.
   std::size_t NextBatch(std::size_t max_pages,
                         std::vector<PageRef>* out) override;
 
@@ -508,7 +520,7 @@ class SplReader final : public PageSource {
   /// read, then only called from this reader's own thread.
   std::function<Status()> stop_check_;
   /// In-flight readahead of the next spilled slot. Touched only by this
-  /// reader's own Next()/destructor (readers are single-consumer), so it
+  /// reader's own reads/destructor (readers are single-consumer), so it
   /// needs no lock of its own.
   std::size_t prefetch_pos_ = static_cast<std::size_t>(-1);
   IoTicketRef prefetch_ticket_;

@@ -31,15 +31,15 @@ int64_t NowNanos() {
 
 /// Shared production-time lag sampling: every few pages the producer
 /// records how far the slowest reader trails it. Callers guard `max`
-/// with their own mutex. One copy of the policy so every transport
-/// (push, pull, and the future spill/NUMA/remote channels) measures the
-/// same signal the adaptive admission cost model is calibrated to.
+/// with their own mutex. One copy of the policy so push and pull
+/// measure the same signal the adaptive admission cost model is
+/// calibrated to.
 struct LagSampler {
   static constexpr std::size_t kEvery = 8;
 
   /// Did the production count cross a sampling boundary going from
-  /// `prev` to `now`? (Batched puts advance by several pages at once, so
-  /// the check is a window crossing, not `now % kEvery == 0`.)
+  /// `prev` to `now`? (A put advances by a whole run of pages, so the
+  /// check is a window crossing, not `now % kEvery == 0`.)
   static bool ShouldSample(std::size_t prev, std::size_t now) {
     return now / kEvery > prev / kEvery;
   }
@@ -57,9 +57,9 @@ struct LagSampler {
 // PushChannel: the push-model tee. The first attached reader is the host's
 // own consumer and receives the original page; every later reader is a
 // satellite fed a deep copy. All copies run in the producer thread — this
-// loop is the serialization point the paper's pull model removes. Batched
-// puts amortize one FIFO lock acquisition per satellite over the whole
-// run (FifoBuffer::PushBatch) instead of paying it per page.
+// loop is the serialization point the paper's pull model removes. Each
+// put hands every satellite FIFO the whole run under one lock
+// acquisition (FifoBuffer::PutBatch) instead of paying it per page.
 // ---------------------------------------------------------------------------
 
 class PushChannel final : public SharingChannel {
@@ -79,44 +79,6 @@ class PushChannel final : public SharingChannel {
     TRACE_EVENT("sharing", "push.attach", options_.query_id,
                 options_.signature);
     return fifo;
-  }
-
-  bool Put(PageRef page) override {
-    // Dedicated single-page path: unlike PutBatch it allocates nothing
-    // beyond the satellite deep copies, so page-at-a-time configurations
-    // (sp_read_batch <= 1) keep their pre-batching cost.
-    if (SHARING_FAULT_POINT(fault_points::kSharingAppend)) {
-      Close(InjectedAppendFault());
-      return false;
-    }
-    TraceSpan span("sharing", "push.put", options_.query_id,
-                   options_.signature);
-    std::vector<std::shared_ptr<FifoBuffer>> readers;
-    const FifoBuffer* host;
-    std::size_t produced;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return false;
-      window_open_ = false;  // first emission closes the attach window
-      produced = ++pages_produced_;
-      readers = readers_;
-      host = host_;
-    }
-    bool any = false;
-    std::vector<const FifoBuffer*> dead;
-    for (std::size_t i = 0; i < readers.size(); ++i) {
-      PageRef out =
-          readers[i].get() == host ? page : CopyForSatellite(*page);
-      if (readers[i]->Put(std::move(out))) {
-        any = true;
-      } else {
-        dead.push_back(readers[i].get());
-      }
-    }
-    FinishPut(readers, dead, produced - 1, produced);
-    span.AddArg("pages", 1);
-    span.AddArg("readers", static_cast<int64_t>(readers.size()));
-    return any;
   }
 
   bool PutBatch(std::vector<PageRef> pages) override {
@@ -157,7 +119,7 @@ class PushChannel final : public SharingChannel {
           batch.push_back(CopyForSatellite(*page));
         }
       }
-      if (readers[i]->PushBatch(batch)) {
+      if (readers[i]->PutBatch(std::move(batch))) {
         any = true;
       } else {
         dead.push_back(readers[i].get());
@@ -248,7 +210,7 @@ class PushChannel final : public SharingChannel {
     return copy;
   }
 
-  /// Shared Put/PutBatch epilogue: prune readers that reported a dead
+  /// PutBatch epilogue: prune readers that reported a dead
   /// consumer, and take the production-time lag sample when the batch
   /// crossed a sampling boundary — from the slowest *surviving* reader
   /// (a dead reader's frozen position would inflate the signal the
@@ -300,8 +262,8 @@ class PushChannel final : public SharingChannel {
 // PullChannel: the Shared Pages List behind the channel interface. Close
 // seals the SPL's attach window, which both matches the stage's session
 // lifetime (the registry entry is dropped at close) and arms page
-// reclamation. Batched puts publish the whole run with one SPL
-// bookkeeping pass (AppendBatch).
+// reclamation. Each put publishes the whole run with one SPL bookkeeping
+// pass (AppendBatch).
 // ---------------------------------------------------------------------------
 
 class PullChannel final : public SharingChannel {
@@ -322,20 +284,6 @@ class PullChannel final : public SharingChannel {
       options_.on_attach_cost(static_cast<double>(NowNanos() - start));
     }
     return reader;
-  }
-
-  bool Put(PageRef page) override {
-    if (SHARING_FAULT_POINT(fault_points::kSharingAppend)) {
-      Close(InjectedAppendFault());
-      return false;
-    }
-    TraceSpan span("sharing", "pull.put", options_.query_id,
-                   options_.signature);
-    span.AddArg("pages", 1);
-    std::size_t produced = spl_->Append(std::move(page));
-    if (produced == 0) return false;
-    SampleLag(produced - 1, produced);
-    return true;
   }
 
   bool PutBatch(std::vector<PageRef> pages) override {

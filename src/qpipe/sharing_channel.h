@@ -2,14 +2,14 @@
 //
 // A channel is the fan-out point between one producing host packet and any
 // number of consuming queries. The producer side is a plain PageSink
-// (Put/Close); consumers attach through AttachReader(), which either
+// (PutBatch/Close); consumers attach through AttachReader(), which either
 // succeeds (the consumer becomes an SP satellite fed from the channel) or
 // returns nullptr (the attach window has closed — the caller must execute
 // its own packet). The two implementations embody the paper's two SP
 // models:
 //
 //  * push (PushChannel): the classic QPipe tee. Every reader owns a FIFO;
-//    the host's Put copies the page into each satellite FIFO, serializing
+//    the host's put copies each page into every satellite FIFO, serializing
 //    all copies through the producer thread. The attach window closes at
 //    the first emitted page — a late satellite would miss results.
 //  * pull (PullChannel): the paper's Shared Pages List. Pages are appended
@@ -22,8 +22,7 @@
 //
 // Stage keeps a single signature -> SharingChannel registry, so admission
 // logic (including the adaptive per-packet policy) is independent of which
-// transport a session uses. Future transports (NUMA-partitioned channels,
-// remote shuffle) plug in behind the same interface.
+// transport a session uses.
 
 #pragma once
 
@@ -48,7 +47,7 @@ class SharingChannel : public PageSink {
     std::size_t readers_active = 0;
     std::size_t pages_produced = 0;
     /// Largest (pages produced - slowest reader position) sampled *during
-    /// production*. Sampling at Put time measures consumer slowness while
+    /// production*. Sampling at put time measures consumer slowness while
     /// the producer is still running — the signal the adaptive policy
     /// wants — rather than the undrained queue depth a close-time sample
     /// would report for any non-trivial result.

@@ -8,7 +8,7 @@
 // channels of an engine against a configurable page budget, and when the
 // total exceeds the budget it directs channels to migrate
 // already-consumed but not-yet-drained pages to a temp file (spill tier).
-// Spilled pages fault back transparently on SplReader::Next() with
+// Spilled pages fault back transparently on SplReader::NextBatch() with
 // bit-exact contents, and are deleted — never re-read — once every reader
 // has passed them (the sealed-window reclamation contract).
 //

@@ -52,17 +52,6 @@ class SatelliteRerunSource final : public PageSource {
         rerun_(std::move(rerun)),
         rerun_counter_(rerun_counter) {}
 
-  PageRef Next() override {
-    for (;;) {
-      PageRef page = Inner()->Next();
-      if (page != nullptr) {
-        delivered_.fetch_add(1, std::memory_order_relaxed);
-        return page;
-      }
-      if (!MaybeRerun()) return nullptr;
-    }
-  }
-
   std::size_t NextBatch(std::size_t max_pages,
                         std::vector<PageRef>* out) override {
     for (;;) {
@@ -401,18 +390,13 @@ void Stage::Enqueue(PlanNodeRef node, ExecContextRef ctx, PageSinkRef output,
   packet->output = std::move(output);
   if (make_inputs) packet->inputs = make_inputs();
   if (prepare) prepare(*packet);
-  // Batched transport wiring: the operator keeps its page-at-a-time
-  // loop, but every page crossing a stage boundary rides a batch — one
-  // lock acquisition (FIFO) or one publication + wake sweep (SPL) per
-  // sp_read_batch pages instead of per page.
-  if (options_.sp_read_batch > 1) {
-    for (PageSourceRef& input : packet->inputs) {
-      input = std::make_shared<BatchingSource>(std::move(input),
-                                               options_.sp_read_batch);
-    }
-    packet->output = std::make_shared<BatchingSink>(std::move(packet->output),
-                                                    options_.sp_read_batch);
+  // Every page crossing a stage boundary rides a run: the operator keeps
+  // its page-at-a-time loop, and the adapters pay one lock acquisition
+  // (FIFO) or one publication + wake (SPL) per kTransportBatch pages.
+  for (PageSourceRef& input : packet->inputs) {
+    input = std::make_shared<BatchingSource>(std::move(input));
   }
+  packet->output = std::make_shared<BatchingSink>(std::move(packet->output));
 
   packets_executed_.fetch_add(1, std::memory_order_relaxed);
   // Every packet run is wall-timed (two clock reads): the time feeds the

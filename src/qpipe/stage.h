@@ -81,14 +81,6 @@ class Stage {
 
     std::size_t fifo_capacity = FifoBuffer::kDefaultCapacity;
 
-    /// Pages a packet moves per transport call: inputs are wrapped in a
-    /// BatchingSource (one SplReader/FifoBuffer lock acquisition serves
-    /// up to this many pages) and the output in a BatchingSink (one SPL
-    /// publication / FIFO push covers the run). 0 or 1 disables batching
-    /// (page-at-a-time, the pre-batching behavior). Consumer-lag signals
-    /// and reclamation become batch-granular.
-    std::size_t sp_read_batch = 8;
-
     /// Per-signature history, popularity and cost model behind
     /// SpMode::kAdaptive (see qpipe/cost_model.h).
     CostModelOptions cost_model;

@@ -224,21 +224,18 @@ TEST(EngineModeSwitchTest, ModeChangesAtRuntimeKeepCorrectness) {
 
 // EngineConfig is a QPipeOptions: non-default transport knobs must reach
 // every stage, the CJOIN stage included (it is built from the same derived
-// Stage::Options). Page-at-a-time 2-page FIFOs, a 4-page SP budget that
-// forces spilling, and synchronous I/O must not change any result in any
-// mode.
+// Stage::Options). 2-page FIFOs, a 4-page SP budget that forces
+// spilling, and synchronous I/O must not change any result in any mode.
 TEST(EngineModeSwitchTest, InheritedOptionsReachEveryStageInEveryMode) {
   auto* env = &EquivalenceEnv::Get();
   EngineConfig config = ConfigFor(EngineMode::kGqpSp);
   config.fifo_capacity = 2;
-  config.sp_read_batch = 1;
   config.sp_memory_budget = 4;
   config.io_threads = 0;
   SharingEngine engine(env->db(), config);
   ASSERT_NE(engine.qpipe()->sp_governor(), nullptr);
   EXPECT_EQ(engine.qpipe()->sp_governor()->budget_pages(), 4u);
   EXPECT_EQ(engine.qpipe()->base_stage_options().fifo_capacity, 2u);
-  EXPECT_EQ(engine.qpipe()->base_stage_options().sp_read_batch, 1u);
   EXPECT_EQ(engine.qpipe()->io_scheduler(), nullptr);
 
   auto star = ssb::ParameterizedStarPlan({.selectivity = 0.05,

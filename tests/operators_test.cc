@@ -509,7 +509,9 @@ TEST_F(OperatorsTest, AbandonedConsumerStopsProducer) {
 class DeliveredSource : public PageSource {
  public:
   explicit DeliveredSource(std::size_t n) : n_(n) {}
-  PageRef Next() override { return nullptr; }
+  std::size_t NextBatch(std::size_t, std::vector<PageRef>*) override {
+    return 0;
+  }
   Status FinalStatus() const override { return Status::OK(); }
   std::size_t PagesDelivered() const override { return n_; }
 

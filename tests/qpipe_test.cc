@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "exec/reference_executor.h"
@@ -450,6 +451,29 @@ TEST_F(QPipeTest, CancelledQueryAborts) {
   if (!result.ok()) {
     EXPECT_EQ(result.status().code(), StatusCode::kAborted);
   }
+}
+
+TEST_F(QPipeTest, CancelAfterFirstPageReleasesPullRetention) {
+  // The root is read in runs, so after the first Next the handle's batch
+  // adapter holds pages of the pull host's SPL. Cancelling and dropping
+  // the handle must still release every retained page, and the engine
+  // must keep serving queries.
+  Gauge* retained = db_->metrics()->GetGauge(metrics::kSpPagesRetained);
+  const int64_t before = retained->Get();
+  QPipeEngine engine(db_->catalog(), QPipeOptions{.sp_mode = SpMode::kPull},
+                     db_->metrics());
+  {
+    QueryHandle h = engine.Submit(ScanPlan());
+    ASSERT_NE(h.Next(), nullptr);
+    h.Cancel();
+  }
+  for (int spin = 0; spin < 200 && retained->Get() != before; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(retained->Get(), before);
+  auto got = engine.Execute(AggPlan());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectResultsEquivalent(Reference(AggPlan()), got.value());
 }
 
 TEST_F(QPipeTest, SpModeSwitchableAtRuntime) {

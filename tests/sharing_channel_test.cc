@@ -146,7 +146,7 @@ TEST_P(SharingChannelTest, OnCloseReportsSessionStats) {
 // Batched producer + batched consumers must deliver the identical
 // ordered stream — the amortized hot path cannot reorder, drop, or
 // duplicate (exercises SharedPagesList::AppendBatch + SplReader::
-// NextBatch on pull, FifoBuffer::PushBatch/PopBatch on push).
+// NextBatch on pull, FifoBuffer::PutBatch/NextBatch on push).
 TEST_P(SharingChannelTest, BatchedPutAndBatchedReadPreserveTheStream) {
   auto channel = MakeChannel();
   constexpr int kReaders = 3;
@@ -884,8 +884,8 @@ TEST(SplContentionTest, ChainedWakeupReachesEveryParkedReader) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch adapters: the packet-side wrappers Stage wires around inputs and
-// outputs when sp_read_batch > 1.
+// Batch adapters: the packet-side wrappers Stage wires around every
+// packet's inputs and output.
 // ---------------------------------------------------------------------------
 
 TEST(BatchPipeTest, SinkBuffersUntilBatchAndFlushesOnClose) {
