@@ -4,7 +4,7 @@
 // DESIGN.md's per-experiment index): it prints the same x-axis and series
 // the demo GUI plots, plus the auxiliary measurements (CPU time, SP
 // opportunities, admissions). Absolute numbers differ from the paper's
-// testbed (see EXPERIMENTS.md); the *shape* is the reproduction target.
+// testbed; the *shape* is the reproduction target.
 
 #pragma once
 

@@ -10,8 +10,12 @@
 #      removed knob cannot leave a stale row behind).
 #   3. Every canonical metric name in src/common/metrics.h must be named
 #      in docs/METRICS.md.
-# The point: the documentation surface cannot silently rot as knobs and
-# metrics are added.
+#   4. Every examples/*.cpp must head a table row in examples/README.md,
+#      every such row must name an existing example, and every example
+#      must have a runner: an add_test in CMakeLists.txt or a ci/*.sh
+#      script that invokes the binary.
+# The point: the documentation surface cannot silently rot as knobs,
+# metrics and examples are added or removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,8 +94,19 @@ check_knobs src/qpipe/engine.h QPipeOptions
 check_knobs src/core/sharing_engine.h EngineConfig
 check_knobs src/qpipe/cost_model.h CostModelOptions
 
-# The other direction: first cells of body rows (a header row is the one
-# right above a |---| separator and is skipped).
+# Backticked names in the first cell of every markdown table body row of
+# a file (a header row is the one right above a |---| separator and is
+# skipped).
+table_first_cells() {
+  awk -F'|' '
+    /^\|[-: |]+$/ { prev = ""; next }
+    /^\| / { if (prev != "") print prev; prev = $2; next }
+    { if (prev != "") print prev; prev = "" }
+    END { if (prev != "") print prev }
+  ' "$1" | grep -oE '`[^`]+`' | tr -d '`'
+}
+
+# The other direction: every knob row names a field.
 known_fields=$(extract_fields src/qpipe/engine.h QPipeOptions
                extract_fields src/core/sharing_engine.h EngineConfig
                extract_fields src/qpipe/cost_model.h CostModelOptions)
@@ -101,12 +116,7 @@ while IFS= read -r name; do
     echo "docs-check: docs/KNOBS.md row \`$name\` is not a field of QPipeOptions, EngineConfig or CostModelOptions"
     fail=1
   fi
-done < <(awk -F'|' '
-    /^\|[-: |]+$/ { prev = ""; next }
-    /^\| / { if (prev != "") print prev; prev = $2; next }
-    { if (prev != "") print prev; prev = "" }
-    END { if (prev != "") print prev }
-  ' docs/KNOBS.md | grep -oE '`[^`]+`' | tr -d '`')
+done < <(table_first_cells docs/KNOBS.md)
 
 # --- 3. metric coverage -----------------------------------------------------
 while IFS= read -r metric; do
@@ -116,6 +126,28 @@ while IFS= read -r metric; do
     fail=1
   fi
 done < <(grep -oE '"[a-z_.]+"' src/common/metrics.h | tr -d '"')
+
+# --- 4. example coverage ----------------------------------------------------
+example_rows=$(table_first_cells examples/README.md)
+for src in examples/*.cpp; do
+  name=$(basename "$src" .cpp)
+  if ! grep -qxF "$name" <<<"$example_rows"; then
+    echo "docs-check: $src has no row in examples/README.md"
+    fail=1
+  fi
+  if ! grep -qE "^add_test\(NAME [^ ]+ COMMAND $name( |\))" CMakeLists.txt &&
+     ! grep -qE "/$name([\"[:space:]]|\$)" ci/*.sh; then
+    echo "docs-check: $src is neither add_test'ed in CMakeLists.txt nor run by a ci/*.sh script"
+    fail=1
+  fi
+done
+while IFS= read -r name; do
+  [[ -z "$name" ]] && continue
+  if [[ ! -f "examples/$name.cpp" ]]; then
+    echo "docs-check: examples/README.md row \`$name\` names no examples/$name.cpp"
+    fail=1
+  fi
+done <<<"$example_rows"
 
 if [[ $fail -ne 0 ]]; then
   echo "docs-check: FAILED"

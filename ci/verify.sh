@@ -79,8 +79,8 @@ SHARING_BENCH_JSON=BENCH_faults.json ./build/bench_ablation_faults
 echo "=== operator kernels (smoke) -> BENCH_kernels.json ==="
 # Rows/s of the page-at-a-time kernels on memory-resident lineitem:
 # scan+filter, hash-join build and probe, hash aggregate on Q1 (4 groups)
-# and on l_orderkey (high cardinality); also prints the shared-vs-
-# independent scan micro.
+# and on l_orderkey (high cardinality); also prints tracing overhead on
+# a shared scan.
 SHARING_BENCH_SF=0.01 SHARING_BENCH_JSON=BENCH_kernels.json \
   ./build/bench_micro_scans
 

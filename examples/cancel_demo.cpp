@@ -6,13 +6,14 @@
 // Three identical TPC-H Q1 queries are submitted with pull-based SP: one
 // host evaluates the plan, two satellites attach. We cancel one satellite
 // immediately; the other satellite and the host must still complete with
-// full results.
+// full results. Exits 1 unless both match the ReferenceExecutor's result.
 
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/stopwatch.h"
 #include "core/sharing_engine.h"
+#include "exec/reference_executor.h"
 #include "workload/tpch.h"
 
 using namespace sharing;
@@ -34,6 +35,12 @@ int main(int argc, char** argv) {
   config.mode = EngineMode::kSpPull;
   SharingEngine engine(&db, config);
   PlanNodeRef q1 = tpch::MakeQ1Plan(90);
+  auto expected = ReferenceExecutor(db.catalog()).Execute(*q1);
+  if (!expected.ok()) {
+    std::fprintf(stderr, "%s\n", expected.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<std::string> want = expected.value().CanonicalRows();
 
   QueryHandle host = engine.Submit(q1);
   QueryHandle satellite_a = engine.Submit(q1);
@@ -52,12 +59,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "host/satellite failed after cancel!\n");
     return 1;
   }
-  bool same = host_result.value().CanonicalRows() ==
-              sat_result.value().CanonicalRows();
-  std::printf("host        -> %zu rows\n", host_result.value().num_rows());
-  std::printf("satellite B -> %zu rows (%s)\n",
-              sat_result.value().num_rows(),
-              same ? "identical to host" : "MISMATCH");
+  const bool host_ok = host_result.value().CanonicalRows() == want;
+  const bool sat_ok = sat_result.value().CanonicalRows() == want;
+  std::printf("host        -> %zu rows (%s)\n", host_result.value().num_rows(),
+              host_ok ? "matches the reference" : "MISMATCH");
+  std::printf("satellite B -> %zu rows (%s)\n", sat_result.value().num_rows(),
+              sat_ok ? "matches the reference" : "MISMATCH");
 
   StageStats scan = engine.qpipe()->scan_stage()->GetStats();
   StageStats agg = engine.qpipe()->agg_stage()->GetStats();
@@ -67,5 +74,5 @@ int main(int argc, char** argv) {
               static_cast<long long>(scan.sp_hits),
               static_cast<long long>(agg.packets_executed),
               static_cast<long long>(agg.sp_hits));
-  return same ? 0 : 1;
+  return host_ok && sat_ok ? 0 : 1;
 }

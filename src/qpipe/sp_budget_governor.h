@@ -114,11 +114,13 @@ class SpBudgetGovernor
     /// the scheduler from one of its own workers.
     std::shared_ptr<IoScheduler> scheduler;
 
-    /// Max spill writes in flight at once (scheduler path only). The
-    /// window bounds how far the memory tier can transiently overshoot
-    /// the budget: victims stay resident (and readable) until their
-    /// write is durable, so at most `spill_write_window` pages sit in
-    /// the "spilling but not yet released" state.
+    /// Max spill writes in flight at once (scheduler path only). Victims
+    /// stay resident (and readable) until their write is durable, so at
+    /// most `spill_write_window` pages sit in the "spilling but not yet
+    /// released" state. The window does not bound the memory tier:
+    /// while it is full, Rebalance sheds nothing and producers keep
+    /// appending, so resident pages can pass budget + window until the
+    /// in-flight writes install.
     std::size_t spill_write_window = 16;
 
     MetricsRegistry* metrics = &MetricsRegistry::Global();
@@ -209,8 +211,9 @@ class SpBudgetGovernor
   /// Sheds in-memory pages engine-wide until the budget is met: the
   /// appender's and then every registered list's already-consumed pages
   /// first (drained open-window history anywhere beats thrashing fresh
-  /// pages), falling back to the appender's unread tail so the budget
-  /// stays a hard bound even when nothing has been read. Called by the
+  /// pages), falling back to the appender's unread tail so pages can be
+  /// shed even when nothing has been read. Returns without shedding
+  /// while the spill-write window is full. Called by the
   /// appending list with NO list locks held — each shed takes only its
   /// own list's lock, and the spill I/O itself runs outside it (on the
   /// scheduler's kSpillWrite workers when one is configured, bounded by
