@@ -1,10 +1,9 @@
-// Shared helpers for the scenario benchmark binaries.
+// Shared helpers for the benchmark binaries.
 //
-// Each bench regenerates one table/figure of the paper's demo (see
-// DESIGN.md's per-experiment index): it prints the same x-axis and series
-// the demo GUI plots, plus the auxiliary measurements (CPU time, SP
-// opportunities, admissions). Absolute numbers differ from the paper's
-// testbed; the *shape* is the reproduction target.
+// bench_scenarios regenerates the paper's four experiments and the
+// ablations measure one mechanism each (see DESIGN.md's per-experiment
+// index). Absolute numbers differ from the paper's testbed; the *shape*
+// is the reproduction target.
 
 #pragma once
 
@@ -45,31 +44,12 @@ inline std::unique_ptr<Database> MakeMemoryDb(std::size_t frames = 65536) {
   return std::make_unique<Database>(options);
 }
 
-/// Disk-resident database: small frame budget + rotational latency model.
-inline std::unique_ptr<Database> MakeDiskDb(std::size_t frames = 512) {
-  DatabaseOptions options;
-  options.buffer_pool_frames = frames;
-  auto db = std::make_unique<Database>(options);
-  db->SetDiskResident();
-  return db;
-}
-
 inline EngineConfig SsbEngineConfig() {
   EngineConfig config;
   config.fact_table = "lineorder";
   config.cjoin_levels = ssb::PipelineLevels();
   config.cjoin.max_queries = 64;
   return config;
-}
-
-/// Descends through unary nodes (aggregate/sort) to the star-join subtree —
-/// the part of a template plan that CJOIN evaluates.
-inline PlanNodeRef StarJoinRootOf(PlanNodeRef plan) {
-  while (plan && plan->kind() != PlanKind::kJoin) {
-    if (plan->children().empty()) return nullptr;
-    plan = plan->children()[0];
-  }
-  return plan;
 }
 
 /// Appends one {"part": "metrics", "metrics": {...}} row to an open

@@ -14,8 +14,12 @@
 #      every such row must name an existing example, and every example
 #      must have a runner: an add_test in CMakeLists.txt or a ci/*.sh
 #      script that invokes the binary.
+#   5. Every bench/bench_*.cc must head a row of README.md's bench table
+#      whose JSON cell names a BENCH_*.json, every such row must name an
+#      existing bench, and ci/verify.sh must run every bench: a bench is
+#      gated or recorded on every verify run, or it is gone.
 # The point: the documentation surface cannot silently rot as knobs,
-# metrics and examples are added or removed.
+# metrics, examples and benches are added or removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,6 +152,34 @@ while IFS= read -r name; do
     fail=1
   fi
 done <<<"$example_rows"
+
+# --- 5. bench coverage ------------------------------------------------------
+# "name|json cell" for every README.md table row headed by a bench.
+bench_rows=$(awk -F'|' '/^\| `bench_[a-z0-9_]+` \|/ {
+  name = $2; gsub(/[ `]/, "", name); print name "|" $(NF - 1)
+}' README.md)
+for src in bench/bench_*.cc; do
+  name=$(basename "$src" .cc)
+  row=$(grep -E "^$name\|" <<<"$bench_rows" || true)
+  if [[ -z "$row" ]]; then
+    echo "docs-check: $src has no row in README.md's bench table"
+    fail=1
+  elif ! grep -qE '`BENCH_[A-Za-z0-9_]+\.json`' <<<"${row#*|}"; then
+    echo "docs-check: README.md row \`$name\` names no BENCH_*.json"
+    fail=1
+  fi
+  if ! grep -qE "\./build/$name([\"[:space:]]|\$)" ci/verify.sh; then
+    echo "docs-check: $src is not run by ci/verify.sh"
+    fail=1
+  fi
+done
+while IFS='|' read -r name _; do
+  [[ -z "$name" ]] && continue
+  if [[ ! -f "bench/$name.cc" ]]; then
+    echo "docs-check: README.md bench row \`$name\` names no bench/$name.cc"
+    fail=1
+  fi
+done <<<"$bench_rows"
 
 if [[ $fail -ne 0 ]]; then
   echo "docs-check: FAILED"

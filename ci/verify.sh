@@ -84,21 +84,25 @@ echo "=== operator kernels (smoke) -> BENCH_kernels.json ==="
 SHARING_BENCH_SF=0.01 SHARING_BENCH_JSON=BENCH_kernels.json \
   ./build/bench_micro_scans
 
-echo "=== scenario II (smoke) -> BENCH_scenario2.json ==="
-# sp-pull vs gqp throughput over 1..64 clients on disk-resident SSB; ends
-# with the paper's shape claim "gqp >= sp-pull at max clients" as a
-# recorded reproduced=yes/no verdict (not gated).
-SHARING_BENCH_SECONDS=0.5 SHARING_BENCH_JSON=BENCH_scenario2.json \
-  ./build/bench_scenario2_concurrency
+echo "=== paper scenarios I-IV (smoke) -> BENCH_scenarios.json ==="
+# The paper's four experiments: push vs pull SP (with the FIFO-capacity
+# sweep), then SP vs GQP across clients, selectivity and plan
+# similarity. Every curve is the median of 3 interleaved trials, and
+# every shape claim is a recorded reproduced=true/false row. The binary
+# exits nonzero only if a gated row fails: pull copies nothing, push
+# copies once per satellite, and gqp+sp admits fewer queries at 1 plan
+# in batched admission passes. Wall-time claims are recorded, not gated.
+SHARING_BENCH_SECONDS=0.3 SHARING_BENCH_JSON=BENCH_scenarios.json \
+  ./build/bench_scenarios
 
 echo "=== bench trajectory -> BENCH_trajectory.json ==="
 # Folds the sweeps above into the headline numbers a regression diff
 # tracks across PRs (16-reader aggregate, adaptive divergence, drain
-# wall, retained-vs-budget, admin-scrape ratio, kernel rows/s, scenario
-# II 64-client qps and verdict).
+# wall, retained-vs-budget, admin-scrape ratio, kernel rows/s, Scenario
+# II 64-client qps, and every scenario shape verdict).
 ./build/bench_trajectory BENCH_trajectory.json \
   BENCH_contention.json BENCH_adaptive.json BENCH_io.json BENCH_spill.json \
-  BENCH_kernels.json BENCH_scenario2.json
+  BENCH_kernels.json BENCH_scenarios.json
 
 if [[ "${1:-}" != "--fast" ]]; then
   echo "=== tier-1 under AddressSanitizer ==="

@@ -71,7 +71,10 @@ CJoinPipeline::CJoinPipeline(Catalog* catalog, const std::string& fact_table,
     levels_.push_back(std::move(level));
   }
 
-  workers_ = std::make_unique<ThreadPool>(options_.workers);
+  // A fixed set: the cap equals the initial size, so the pool never
+  // grows. At least one worker, or no page task would ever run.
+  const std::size_t workers = std::max<std::size_t>(1, options_.workers);
+  workers_ = std::make_unique<ElasticThreadPool>(workers, workers);
   driver_ = std::thread([this] { DriverLoop(); });
 }
 

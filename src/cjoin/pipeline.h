@@ -65,9 +65,9 @@
 
 #include "cjoin/dimension_table.h"
 #include "cjoin/star_query.h"
+#include "common/elastic_pool.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "exec/exec_context.h"
 #include "exec/page_stream.h"
 #include "io/io_scheduler.h"
@@ -238,7 +238,7 @@ class CJoinPipeline {
   std::condition_variable inflight_cv_;
   std::size_t inflight_ = 0;
 
-  std::unique_ptr<ThreadPool> workers_;
+  std::unique_ptr<ElasticThreadPool> workers_;
   std::thread driver_;
 };
 

@@ -6,7 +6,9 @@
 // chains put JOIN packets below other JOIN packets). QPipe sizes per-stage
 // pools generously; we make that explicit: a task never waits behind a
 // *blocked* task — if no worker is idle, a new worker thread is spawned
-// (up to a hard cap that exists only to catch runaway bugs).
+// (up to a hard cap that exists only to catch runaway bugs). With
+// initial_threads == max_threads it is a fixed set of workers, which is
+// how CJOIN runs its page tasks: those never block on one another.
 
 #pragma once
 

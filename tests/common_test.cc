@@ -1,5 +1,5 @@
-// Unit tests for src/common: status, random, metrics, dates, queues and
-// pools.
+// Unit tests for src/common: status, random, metrics, dates and the
+// worker pool.
 
 #include <gtest/gtest.h>
 
@@ -8,14 +8,12 @@
 #include <thread>
 #include <vector>
 
-#include "common/concurrent_queue.h"
 #include "common/elastic_pool.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/status_or.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 
 namespace sharing {
@@ -255,53 +253,8 @@ TEST(MetricsTest, SnapshotIncludesHistogramViews) {
 }
 
 // ---------------------------------------------------------------------------
-// ConcurrentQueue / pools
+// ElasticThreadPool
 // ---------------------------------------------------------------------------
-
-TEST(ConcurrentQueueTest, FifoOrder) {
-  ConcurrentQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  EXPECT_EQ(*q.Pop(), 1);
-  EXPECT_EQ(*q.Pop(), 2);
-  EXPECT_EQ(*q.Pop(), 3);
-}
-
-TEST(ConcurrentQueueTest, CloseDrainsThenEnds) {
-  ConcurrentQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_FALSE(q.Push(2));
-  EXPECT_EQ(*q.Pop(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(ConcurrentQueueTest, BlockingPopWakesOnPush) {
-  ConcurrentQueue<int> q;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.Push(99);
-  });
-  EXPECT_EQ(*q.Pop(), 99);
-  producer.join();
-}
-
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { count.fetch_add(1); });
-  }
-  pool.Shutdown();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, FutureReturnsValue) {
-  ThreadPool pool(2);
-  auto fut = pool.SubmitWithFuture([] { return 7 * 6; });
-  EXPECT_EQ(fut.get(), 42);
-}
 
 TEST(ElasticPoolTest, GrowsPastInitialSize) {
   ElasticThreadPool pool(1);
@@ -392,6 +345,37 @@ TEST(ElasticPoolTest, ConcurrentBurstSubmitReservesWorkerPerTask) {
     std::this_thread::yield();
   }
   EXPECT_EQ(done.load(), kTasks);
+  pool.Shutdown();
+}
+
+// With initial == max the pool is a fixed set (CJOIN's page workers): a
+// burst queues behind blocked workers instead of spawning more.
+TEST(ElasticPoolTest, CapHoldsUnderBurst) {
+  ElasticThreadPool pool(2, 2);
+  std::atomic<bool> release{false};
+  std::atomic<int> blocked{0};
+  std::atomic<int> done{0};
+  constexpr int kTasks = 64;
+  for (int i = 0; i < kTasks; ++i) {
+    pool.Submit([&, i] {
+      if (i < 2) {
+        blocked.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+      }
+      done.fetch_add(1);
+    });
+  }
+  while (blocked.load() < 2) std::this_thread::yield();
+  EXPECT_EQ(pool.num_threads(), 2u);
+  EXPECT_EQ(done.load(), 0);
+  release.store(true);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (done.load() < kTasks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(done.load(), kTasks);
+  EXPECT_EQ(pool.num_threads(), 2u);
   pool.Shutdown();
 }
 

@@ -11,8 +11,10 @@
 //   kernels:    operator kernel rows/s (scan+filter, join build/probe,
 //               hash aggregate on Q1 and on a high-cardinality key,
 //               one CJOIN level's probe)
-//   scenario2:  64-client qps of sp-pull and gqp, and whether gqp >=
-//               sp-pull there (the paper's Scenario II claim; 1 = yes)
+//   scenarios:  64-client Scenario II qps of sp-pull and gqp, and one
+//               1/0 key per shape row of the paper's four experiments,
+//               named by the row's key (1 = reproduced), e.g.
+//               scenario2_gqp_ge_sp_pull
 //
 //   ./bench_trajectory <out.json> <bench1.json> [bench2.json ...]
 //
@@ -208,19 +210,19 @@ void FoldKernels(const std::vector<std::string>& rows, Headline* out) {
   }
 }
 
-void FoldScenario2(const std::vector<std::string>& rows, Headline* out) {
+void FoldScenarios(const std::vector<std::string>& rows, Headline* out) {
   for (const std::string& row : rows) {
-    std::string part, mode;
+    std::string part, mode, key;
     StrField(row, "part", &part);
-    double clients = 0, qps = 0;
-    if (part == "curve" && NumField(row, "clients", &clients) &&
-        clients == 64 && StrField(row, "mode", &mode) &&
-        NumField(row, "qps", &qps)) {
-      (*out)[mode == "gqp" ? "scenario2_c64_gqp_qps"
-                           : "scenario2_c64_sp_pull_qps"] = qps;
+    double scenario = 0, x = 0, qps = 0;
+    if (part == "curve" && NumField(row, "scenario", &scenario) &&
+        scenario == 2 && NumField(row, "x", &x) && x == 64 &&
+        StrField(row, "mode", &mode) && NumField(row, "qps", &qps)) {
+      if (mode == "gqp") (*out)["scenario2_c64_gqp_qps"] = qps;
+      if (mode == "sp-pull") (*out)["scenario2_c64_sp_pull_qps"] = qps;
     }
-    if (part == "shape") {
-      (*out)["scenario2_gqp_ge_sp_pull"] =
+    if (part == "shape" && StrField(row, "key", &key)) {
+      (*out)[key] =
           row.find("\"reproduced\": true") != std::string::npos ? 1 : 0;
     }
   }
@@ -257,8 +259,8 @@ int main(int argc, char** argv) {
       FoldSpill(rows, &headline);
     } else if (base == "BENCH_kernels.json") {
       FoldKernels(rows, &headline);
-    } else if (base == "BENCH_scenario2.json") {
-      FoldScenario2(rows, &headline);
+    } else if (base == "BENCH_scenarios.json") {
+      FoldScenarios(rows, &headline);
     } else {
       std::fprintf(stderr, "bench_trajectory: unrecognized %s (skipped)\n",
                    argv[i]);
