@@ -131,6 +131,22 @@ if [[ "${1:-}" != "--fast" ]]; then
   # there fails verify instead of surfacing once in a while.
   build-tsan/sharing_channel_test --gtest_filter='SplContentionTest.*' \
     --gtest_repeat=20
+
+  echo "=== circular-scan claim protocol, repeated under ThreadSanitizer ==="
+  # Both circular scans are driven by their consumers (DESIGN.md #22): a
+  # QPipe ticket claims and fans out pages on its own thread, and the
+  # CJOIN workers admit and claim under the pipeline mutex. Repeat the
+  # suites that race claims, cancels and departures. The three loops are
+  # independent and mostly single-threaded, so they run side by side.
+  build-tsan/storage_test \
+    --gtest_filter='CircularScanTest.*:LoopingScanTest.*' --gtest_repeat=20 &
+  scan_loop=$!
+  build-tsan/io_scheduler_test --gtest_filter='CircularScanPrefetchTest.*' \
+    --gtest_repeat=20 &
+  prefetch_loop=$!
+  build-tsan/cjoin_test --gtest_filter='CJoinTest.*' --gtest_repeat=5
+  wait "$scan_loop"
+  wait "$prefetch_loop"
 fi
 
 echo "verify: OK"

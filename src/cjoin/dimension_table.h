@@ -18,9 +18,9 @@
 // into a Selection, on the admitting query's own thread. Grant() and
 // Revoke() then flip exactly that selection's bits with relaxed atomic
 // read-modify-writes. Nothing locks a probe: the pipeline grants a query's
-// bits before submitting its first page task and revokes them after its
-// last task completes, and a page task only reads the bits of the queries
-// in its own snapshot (pipeline.h).
+// bits before the first fact claim that includes it and revokes them after
+// its last claimed page completes, and a page only reads the bits of the
+// queries its claim returned (pipeline.h).
 
 #pragma once
 

@@ -1,9 +1,9 @@
 #include "cjoin/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -19,10 +19,6 @@ Table* FactTableOrDie(Catalog* catalog, const std::string& name) {
   SHARING_CHECK(fact_or.ok()) << fact_or.status().ToString();
   return fact_or.value();
 }
-
-/// How often the driver rechecks the stop requests of queries waiting for
-/// a free bit: nothing else wakes it while every bit is taken.
-constexpr auto kPendingStopPoll = std::chrono::milliseconds(1);
 
 bool Uses(const std::vector<std::size_t>& levels, std::size_t level) {
   return std::find(levels.begin(), levels.end(), level) != levels.end();
@@ -47,7 +43,7 @@ CJoinPipeline::CJoinPipeline(Catalog* catalog, const std::string& fact_table,
       bitmap_and_ops_(metrics->GetCounter(metrics::kCjoinBitmapAndOps)),
       admission_epochs_(metrics->GetCounter(metrics::kCjoinAdmissionEpochs)),
       admission_micros_(metrics->GetCounter(metrics::kCjoinAdmissionMicros)),
-      readahead_(fact_, std::move(scheduler), prefetch_depth) {
+      cursor_(fact_, metrics, std::move(scheduler), prefetch_depth) {
   bitmap_words_ = (options_.max_queries + 63) / 64;
   free_bits_.reserve(options_.max_queries);
   for (std::size_t b = options_.max_queries; b > 0; --b) {
@@ -72,10 +68,12 @@ CJoinPipeline::CJoinPipeline(Catalog* catalog, const std::string& fact_table,
   }
 
   // A fixed set: the cap equals the initial size, so the pool never
-  // grows. At least one worker, or no page task would ever run.
+  // grows. Each worker runs one WorkerLoop until shutdown.
   const std::size_t workers = std::max<std::size_t>(1, options_.workers);
   workers_ = std::make_unique<ElasticThreadPool>(workers, workers);
-  driver_ = std::thread([this] { DriverLoop(); });
+  for (std::size_t w = 0; w < workers; ++w) {
+    workers_->Submit([this] { WorkerLoop(); });
+  }
 }
 
 CJoinPipeline::~CJoinPipeline() {
@@ -84,7 +82,6 @@ CJoinPipeline::~CJoinPipeline() {
     shutdown_ = true;
   }
   driver_cv_.notify_all();
-  if (driver_.joinable()) driver_.join();
   workers_->Shutdown();
 
   // Abort anything still admitted or pending.
@@ -208,63 +205,53 @@ Status CJoinPipeline::ExecuteQuery(const StarQuerySpec& spec,
   return q->final_status;
 }
 
-void CJoinPipeline::DropStopped() {
+void CJoinPipeline::DropStopped(std::vector<ActiveQueryRef>* dropped,
+                                std::vector<ActiveQueryRef>* finished) {
   // Pending queries were never admitted: they hold no bits.
-  std::vector<ActiveQueryRef> dropped;
-  {
-    std::lock_guard<std::mutex> lock(driver_mutex_);
-    std::erase_if(pending_, [&](const ActiveQueryRef& q) {
-      if (!q->ctx->StopRequested()) return false;
-      dropped.push_back(q);
-      return true;
-    });
-  }
-  for (auto& q : dropped) SignalDone(q, q->ctx->TerminalStatus());
+  std::erase_if(pending_, [&](const ActiveQueryRef& q) {
+    if (!q->ctx->StopRequested()) return false;
+    dropped->push_back(q);
+    return true;
+  });
 
-  // Admitted queries give up their undispatched pages, the way a failed
-  // page is accounted; in-flight tasks finish the count.
-  dropped.clear();
-  std::erase_if(dispatching_, [&](const ActiveQueryRef& q) {
-    if (!q->muted.load(std::memory_order_relaxed) &&
-        !q->ctx->StopRequested()) {
-      return false;
+  // Admitted queries give up the positions never claimed for them, the
+  // way a failed page is accounted; pages already claimed finish the
+  // count.
+  std::vector<ActiveQueryRef> leaving;
+  cursor_.ForEachRider([&](const ActiveQueryRef& q) {
+    if (q->muted.load(std::memory_order_relaxed) ||
+        q->ctx->StopRequested()) {
+      leaving.push_back(q);
     }
+  });
+  for (auto& q : leaving) {
     q->muted.store(true, std::memory_order_relaxed);
-    const int64_t undelivered = q->dispatches_left;
-    q->dispatches_left = 0;
+    const auto undelivered = static_cast<int64_t>(cursor_.Leave(q));
     if (q->pages_remaining.fetch_sub(undelivered,
                                      std::memory_order_acq_rel) ==
         undelivered) {
-      dropped.push_back(q);
+      finished->push_back(std::move(q));
     }
-    return true;
-  });
-  for (auto& q : dropped) FinalizeQuery(q);
+  }
 }
 
-void CJoinPipeline::AdmitPending() {
-  std::vector<ActiveQueryRef> batch;
+void CJoinPipeline::AdmitPending(std::vector<ActiveQueryRef>* finished) {
+  if (pending_.empty() || free_bits_.empty()) return;
+
+  // Admission phase 2: flip each query's bits on before the first claim
+  // that includes it. No page waits for this.
+  Stopwatch timer;
   {
-    std::lock_guard<std::mutex> lock(driver_mutex_);
+    TraceSpan span("cjoin", "cjoin.admit");
+    admission_epochs_->Increment();
+    const auto num_pages = static_cast<int64_t>(fact_->num_pages());
+    int64_t admitted = 0;
     while (!pending_.empty() && !free_bits_.empty()) {
       ActiveQueryRef q = std::move(pending_.front());
       pending_.pop_front();
       q->bit = free_bits_.back();
       free_bits_.pop_back();
       active_.push_back(q);
-      batch.push_back(std::move(q));
-    }
-  }
-  if (batch.empty()) return;
-
-  // Admission phase 2: flip the batch's bits on. No page waits for this.
-  Stopwatch timer;
-  {
-    TraceSpan span("cjoin", "cjoin.admit");
-    span.AddArg("queries", static_cast<int64_t>(batch.size()));
-    admission_epochs_->Increment();
-    const auto num_pages = static_cast<int64_t>(fact_->num_pages());
-    for (auto& q : batch) {
       for (std::size_t i = 0; i < q->levels_used.size(); ++i) {
         levels_[q->levels_used[i]].ht->Grant(q->bit, q->selections[i]);
       }
@@ -272,78 +259,50 @@ void CJoinPipeline::AdmitPending() {
         if (!Uses(q->levels_used, l)) levels_[l].ht->SetNeutral(q->bit, true);
       }
       q->pages_remaining.store(num_pages, std::memory_order_release);
-      q->dispatches_left = num_pages;
       queries_admitted_->Increment();
+      ++admitted;
       if (num_pages == 0) {
         // Degenerate: nothing to scan; complete immediately.
-        FinalizeQuery(q);
+        finished->push_back(std::move(q));
       } else {
-        dispatching_.push_back(q);
+        cursor_.Join(std::move(q));
       }
     }
+    span.AddArg("queries", admitted);
   }
   admission_micros_->Add(timer.ElapsedMicros());
 }
 
 // ---------------------------------------------------------------------------
-// Driver: the preprocessor's circular scan
+// Workers: the preprocessor's circular scan
 // ---------------------------------------------------------------------------
 
-void CJoinPipeline::DriverLoop() {
-  // The looping-scan release rule QPipe's circular scans share: a fact
-  // table larger than the pool releases each consumed page as the next
-  // victim (DESIGN.md decision #16).
-  const bool release_as_next_victim = LoopsPastPool(fact_);
+void CJoinPipeline::WorkerLoop() {
+  std::vector<ActiveQueryRef> riders;  // reused across claims
   for (;;) {
+    std::vector<ActiveQueryRef> dropped, finished;
+    std::optional<uint64_t> seq;
     {
       std::unique_lock<std::mutex> lock(driver_mutex_);
-      auto ready = [&] {
-        return shutdown_ || !dispatching_.empty() ||
-               (!pending_.empty() && !free_bits_.empty());
-      };
-      if (pending_.empty()) {
-        driver_cv_.wait(lock, ready);
-      } else {
-        driver_cv_.wait_for(lock, kPendingStopPoll, ready);
+      for (;;) {
+        if (shutdown_) return;
+        DropStopped(&dropped, &finished);
+        AdmitPending(&finished);
+        // Each admitted query is owed exactly one full cycle of fact
+        // positions. Completing it removes the query from the cursor;
+        // it stays admitted until its last claimed page is processed, so
+        // late pages never meet recycled bits.
+        seq = cursor_.Claim(&riders);
+        if (seq || !dropped.empty() || !finished.empty()) break;
+        driver_cv_.wait(lock);
       }
-      if (shutdown_) return;
     }
-
-    DropStopped();
-    AdmitPending();
-    if (dispatching_.empty()) continue;
-
-    // Respect the in-flight window (prefetch bound).
-    {
-      std::unique_lock<std::mutex> lock(inflight_mutex_);
-      inflight_cv_.wait(lock, [&] {
-        return inflight_ < options_.max_in_flight_pages;
-      });
-      ++inflight_;
+    for (auto& q : dropped) SignalDone(q, q->ctx->TerminalStatus());
+    for (auto& q : finished) FinalizeQuery(q);
+    if (seq) {
+      ProcessPage(*seq, riders);
+      riders.clear();
     }
-
-    // Snapshot the dispatch list: each query is owed exactly one full
-    // cycle of fact pages. Completing the cycle removes it here (it stays
-    // admitted until its last task is processed, so late tasks never meet
-    // recycled bits).
-    auto task = std::make_shared<PageTask>();
-    task->seq = fact_seq_++;
-    readahead_.Ahead(task->seq);
-    task->queries = dispatching_;
-    for (auto& q : dispatching_) --q->dispatches_left;
-    std::erase_if(dispatching_,
-                  [](const ActiveQueryRef& q) {
-                    return q->dispatches_left <= 0;
-                  });
-
-    workers_->Submit([this, task, release_as_next_victim] {
-      ProcessPage(*task, release_as_next_victim);
-      {
-        std::lock_guard<std::mutex> lock(inflight_mutex_);
-        --inflight_;
-      }
-      inflight_cv_.notify_one();
-    });
   }
 }
 
@@ -351,25 +310,22 @@ void CJoinPipeline::DriverLoop() {
 // Page processing: shared selections, hash-join chain, distribution
 // ---------------------------------------------------------------------------
 
-void CJoinPipeline::ProcessPage(const PageTask& task,
-                                bool release_as_next_victim) {
+void CJoinPipeline::ProcessPage(uint64_t seq,
+                                const std::vector<ActiveQueryRef>& queries) {
   TraceSpan span("cjoin", "cjoin.page");
-  span.AddArg("queries", static_cast<int64_t>(task.queries.size()));
-  auto guard_or = fact_->buffer_pool()->FetchPage(
-      fact_->page_id(task.seq % fact_->num_pages()));
-  if (!guard_or.ok()) {
-    SHARING_LOG(Error) << "CJOIN fact scan failed: "
-                       << guard_or.status().ToString();
-    for (const auto& q : task.queries) {
+  span.AddArg("queries", static_cast<int64_t>(queries.size()));
+  auto page_or = cursor_.Fetch(seq);
+  if (!page_or.ok()) {
+    for (const auto& q : queries) {
       q->muted.store(true, std::memory_order_relaxed);
       std::lock_guard<std::mutex> fail_lock(q->fail_mutex);
-      if (q->fail_status.ok()) q->fail_status = guard_or.status();
+      if (q->fail_status.ok()) q->fail_status = page_or.status();
     }
-    CompletePage(task);
+    CompletePage(queries);
     return;
   }
-  PageGuard guard = std::move(guard_or).value();
-  const uint8_t* frame = guard.data();
+  ScanPageRef page = std::move(page_or).value();
+  const uint8_t* frame = page->data();
   const uint32_t n_rows = page_layout::RowCount(frame);
   span.AddArg("rows", n_rows);
   const Schema& fact_schema = fact_->schema();
@@ -378,13 +334,13 @@ void CJoinPipeline::ProcessPage(const PageTask& task,
   const uint8_t* rows = page_layout::RowAt(frame, 0);
 
   // Shared selection (paper Fig. 1b's σ on the fact input): each row's
-  // starting bitmap holds the task's queries whose fact predicate it
+  // starting bitmap holds the claim's queries whose fact predicate it
   // satisfies, evaluated one query at a time over the whole page. Muted
   // queries start empty.
   std::vector<uint64_t> bits(std::size_t(n_rows) * words, 0);
   std::vector<uint64_t> trivial(words, 0);
   std::vector<uint32_t> sel(n_rows);
-  for (const auto& q : task.queries) {
+  for (const auto& q : queries) {
     if (q->muted.load(std::memory_order_relaxed)) continue;
     const std::size_t w = q->bit >> 6;
     const uint64_t mask = uint64_t{1} << (q->bit & 63);
@@ -412,10 +368,10 @@ void CJoinPipeline::ProcessPage(const PageTask& task,
   }
 
   // Shared hash-join chain with bitwise AND, over the levels any of the
-  // task's queries joins. matched[l * n_rows + r]: row r's dimension
+  // claim's queries joins. matched[l * n_rows + r]: row r's dimension
   // tuple at level l.
   std::vector<bool> probe(levels_.size(), false);
-  for (const auto& q : task.queries) {
+  for (const auto& q : queries) {
     for (std::size_t l : q->levels_used) probe[l] = true;
   }
   std::vector<const uint8_t*> matched(levels_.size() * n_rows);
@@ -457,7 +413,7 @@ void CJoinPipeline::ProcessPage(const PageTask& task,
   // Distributor: route each query's surviving rows, under one emit-lock
   // acquisition per query with output.
   int64_t emitted = 0;
-  for (const auto& q : task.queries) {
+  for (const auto& q : queries) {
     const std::size_t w = q->bit >> 6;
     const uint64_t mask = uint64_t{1} << (q->bit & 63);
     std::unique_lock<std::mutex> emit_lock;  // taken at the first match
@@ -491,23 +447,19 @@ void CJoinPipeline::ProcessPage(const PageTask& task,
       ++emitted;
     }
   }
-  if (release_as_next_victim) {
-    guard.ReleaseAsNextVictim();
-  } else {
-    guard.Release();
-  }
+  page.reset();  // the looping-scan release, before the queries complete
 
   fact_tuples_in_->Add(n_rows);
   tuples_dropped_->Add(dropped);
   tuples_out_->Add(emitted);
   bitmap_and_ops_->Add(and_ops);
-  CompletePage(task);
+  CompletePage(queries);
 }
 
-void CJoinPipeline::CompletePage(const PageTask& task) {
+void CJoinPipeline::CompletePage(const std::vector<ActiveQueryRef>& queries) {
   // A query finishes when it has seen every fact page exactly once since
   // admission (or gave up the rest of its cycle).
-  for (const auto& q : task.queries) {
+  for (const auto& q : queries) {
     if (q->pages_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       FinalizeQuery(q);
     }
@@ -515,8 +467,8 @@ void CJoinPipeline::CompletePage(const PageTask& task) {
 }
 
 void CJoinPipeline::FinalizeQuery(const ActiveQueryRef& q) {
-  // Departure: clear exactly the bits admission set. No task still reads
-  // them on this query's behalf; the bit is reusable only afterwards.
+  // Departure: clear exactly the bits admission set. No claimed page still
+  // reads them on this query's behalf; the bit is reusable only afterwards.
   for (std::size_t i = 0; i < q->levels_used.size(); ++i) {
     levels_[q->levels_used[i]].ht->Revoke(q->bit, q->selections[i]);
   }
@@ -538,7 +490,7 @@ void CJoinPipeline::FinalizeQuery(const ActiveQueryRef& q) {
     if (final.ok()) final = Status::Aborted("query abandoned");
   }
   SignalDone(q, std::move(final));
-  // A freed bit may unblock pending admissions.
+  // A freed bit may unblock pending admissions on an idle worker.
   driver_cv_.notify_all();
 }
 

@@ -15,42 +15,47 @@
 // scan position and completes when the scan has delivered exactly
 // `num_fact_pages` pages to it (one full cycle, no pipeline flush).
 //
+// The fact cycle is a `ScanCursor` (storage/circular_scan.h, DESIGN.md
+// decision #22), the same cursor QPipe's circular scans ride; its riders
+// are the admitted queries. The pipeline has no driver thread: each of
+// its `workers` runs one loop that, under the pipeline mutex, drops
+// stopped queries, admits pending ones and claims the next fact position
+// (the claim issues the position's readahead), then outside the lock
+// fetches that page and processes it for the queries the claim returned.
+// When nobody rides the cycle, the workers sleep until ExecuteQuery or a
+// departure wakes them; the worker count bounds the pages in flight.
+//
 // Admission never stops the fact cycle. It runs in two phases:
 //  1. On the thread that calls ExecuteQuery, each dimension predicate is
 //     evaluated over its level's read-only flat table (loaded on first
 //     use, dimension_table.h) into a row selection.
-//  2. The driver takes a free query bit and sets it on those rows (or in
-//     the level's all-rows bitmap), and in the neutral bitmap of every
-//     level the query does not join, with relaxed atomic fetch_or. The
-//     queries waiting together are admitted in one such pass.
+//  2. A worker, under the pipeline mutex, takes a free query bit and sets
+//     it on those rows (or in the level's all-rows bitmap), and in the
+//     neutral bitmap of every level the query does not join, with relaxed
+//     atomic fetch_or. The queries waiting together are admitted in one
+//     such pass, and join the cursor as riders.
 // Departure clears exactly the bits admission set. Probes read the bitmaps
 // without a lock, because:
-//  * a page task starts from a bitmap holding only its own snapshot of
-//    queries, so a stale bit of another query, or one flipping mid-page,
+//  * a page starts from a bitmap holding only the queries its claim
+//    returned, so a stale bit of another query, or one flipping mid-page,
 //    is ANDed away before it can route a tuple;
-//  * a query's bits are set before its first page task is submitted and
-//    cleared only after its last page task completes.
+//  * a query's bits are set before the first claim that includes it and
+//    cleared only after its last claimed page completes.
 //
-// The driver thread only admits, issues readahead and snapshots the
-// dispatch list into page tasks, at most `max_in_flight_pages` at once.
-// Each worker fetches its task's fact page itself, so buffer-pool misses
-// overlap across workers, and processes it page-at-a-time: the fact
-// predicates through EvalBoolBatch, then a level-by-level probe over the
-// rows still alive (only the levels the task's queries join), then one
-// emit-lock acquisition per (page, query) with output.
-//
-// Given an IoScheduler, the driver reads the fact table ahead through the
-// same `ScanReadahead` helper QPipe's circular scans use
-// (storage/circular_scan.h): before each page task it queues
-// kScanPrefetch jobs for the next `prefetch_depth` positions, so workers
-// rarely pay a buffer-pool miss themselves. Without a scheduler every
-// miss is paid by the worker that needs the page.
+// Each worker processes its page page-at-a-time: the fact predicates
+// through EvalBoolBatch, then a level-by-level probe over the rows still
+// alive (only the levels the claim's queries join), then one emit-lock
+// acquisition per (page, query) with output. Buffer-pool misses overlap
+// across workers; given an IoScheduler, the cursor reads the fact table
+// ahead at kScanPrefetch priority, so workers rarely pay a miss
+// themselves. Without a scheduler every miss is paid by the worker that
+// claimed the page.
 //
 // A query whose context stops (cancellation or deadline) leaves the
-// pending queue or the dispatch list at the driver's next pass and
-// completes with the context's terminal status once its in-flight page
-// tasks drain. A fact page that fails to read fails exactly the queries
-// of its task, with the read's status.
+// pending queue or the cursor at the next claim and completes with the
+// context's terminal status once its claimed pages drain. A fact page
+// that fails to read fails exactly the queries of its claim, with the
+// read's status.
 
 #pragma once
 
@@ -60,7 +65,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cjoin/dimension_table.h"
@@ -82,12 +86,10 @@ struct CJoinOptions {
   /// beyond this wait for a free bit.
   std::size_t max_queries = 64;
 
-  /// Page-processing worker threads (the pipeline's intra-operator
-  /// parallelism).
+  /// Worker threads that claim and process fact pages (the pipeline's
+  /// intra-operator parallelism, and the bound on pages in flight). At
+  /// least one runs.
   std::size_t workers = 2;
-
-  /// Fact pages in flight at once (prefetch window of the circular scan).
-  std::size_t max_in_flight_pages = 4;
 };
 
 /// One shared hash-join level: which dimension it joins and through which
@@ -156,12 +158,6 @@ class CJoinPipeline {
     std::size_t bit = 0;
     std::atomic<int64_t> pages_remaining{0};
 
-    /// Driver-thread-only: page tasks still to be dispatched to this
-    /// query. A query appears in exactly `num_fact_pages` task snapshots
-    /// (its one full circular-scan cycle) unless it stops first;
-    /// afterwards it leaves the dispatch list but stays admitted until
-    /// the last task completes.
-    int64_t dispatches_left = 0;
     /// Stopped, failed or consumer gone: no further output.
     std::atomic<bool> muted{false};
 
@@ -180,22 +176,26 @@ class CJoinPipeline {
   };
   using ActiveQueryRef = std::shared_ptr<ActiveQuery>;
 
-  /// One fact page (absolute read sequence `seq`) and the queries owed it.
-  struct PageTask {
-    uint64_t seq = 0;
-    std::vector<ActiveQueryRef> queries;
-  };
-
   StatusOr<ActiveQueryRef> BuildActiveQuery(const StarQuerySpec& spec,
                                             ExecContextRef ctx,
                                             PageSinkRef sink) const;
 
-  void DriverLoop();
-  void DropStopped();
-  void AdmitPending();
-  void ProcessPage(const PageTask& task, bool release_as_next_victim);
-  /// Counts one delivered page per task query; finalizes the last.
-  void CompletePage(const PageTask& task);
+  /// One worker: drop, admit and claim under driver_mutex_, then process
+  /// the claimed page; returns at shutdown.
+  void WorkerLoop();
+  /// Under driver_mutex_: stopped pending queries go to `dropped`; stopped
+  /// or muted riders leave the cursor, and those with no claimed page
+  /// left to complete go to `finished`.
+  void DropStopped(std::vector<ActiveQueryRef>* dropped,
+                   std::vector<ActiveQueryRef>* finished);
+  /// Under driver_mutex_: admission phase 2 for every pending query a
+  /// free bit allows. A query over an empty fact table goes to `finished`.
+  void AdmitPending(std::vector<ActiveQueryRef>* finished);
+  /// Fetches fact position `seq` and runs it for `queries`, then
+  /// completes it for each of them.
+  void ProcessPage(uint64_t seq, const std::vector<ActiveQueryRef>& queries);
+  /// Counts one delivered page per query; finalizes the last.
+  void CompletePage(const std::vector<ActiveQueryRef>& queries);
   void FinalizeQuery(const ActiveQueryRef& q);
   void SignalDone(const ActiveQueryRef& q, Status final);
 
@@ -215,31 +215,20 @@ class CJoinPipeline {
   std::vector<Level> levels_;
   std::size_t bitmap_words_;
 
-  // Driver state, and the bit bookkeeping departures update from workers.
+  // Admission state, the bit bookkeeping departures update, and the
+  // claims on the fact cycle.
   std::mutex driver_mutex_;
-  std::condition_variable driver_cv_;
+  std::condition_variable driver_cv_;  // idle workers wait here
   std::deque<ActiveQueryRef> pending_;
   std::vector<ActiveQueryRef> active_;  // admitted, not yet finalized
   std::vector<std::size_t> free_bits_;
   bool shutdown_ = false;
 
-  /// Queries still owed page dispatches. Owned by the driver thread
-  /// exclusively (no locking needed).
-  std::vector<ActiveQueryRef> dispatching_;
-
-  /// Driver thread only: the absolute fact read sequence (position =
-  /// fact_seq_ % num_pages) and its readahead, which is destroyed after
-  /// the driver is joined.
-  uint64_t fact_seq_ = 0;
-  ScanReadahead readahead_;
-
-  // In-flight page window.
-  std::mutex inflight_mutex_;
-  std::condition_variable inflight_cv_;
-  std::size_t inflight_ = 0;
+  /// The fact cycle; its riders are the admitted queries still owed
+  /// positions. Claimed only under driver_mutex_.
+  ScanCursor<ActiveQueryRef> cursor_;
 
   std::unique_ptr<ElasticThreadPool> workers_;
-  std::thread driver_;
 };
 
 }  // namespace sharing

@@ -8,7 +8,7 @@
 // *blocked* task — if no worker is idle, a new worker thread is spawned
 // (up to a hard cap that exists only to catch runaway bugs). With
 // initial_threads == max_threads it is a fixed set of workers, which is
-// how CJOIN runs its page tasks: those never block on one another.
+// how CJOIN runs its worker loops, one per worker until shutdown.
 
 #pragma once
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -181,36 +182,27 @@ Status RunScan(const ScanNode& node, const Table* table,
   PageEmitter emitter(node.output_schema().row_width(), sink);
   ScanKernel kernel(node, table->schema());
 
-  if (scan_group != nullptr) {
-    auto ticket = scan_group->Attach();
-    while (ScanPageRef page = ticket->Next()) {
-      if (ctx->StopRequested()) {
-        ticket->Cancel();
-        return FinishStopped(ctx, sink);
-      }
-      if (!kernel.Run(page->data(), &emitter)) {
-        ticket->Cancel();
-        return FinishNoConsumers(sink);
-      }
+  // Without a group the scan rides a cycle of its own: a plain scan in
+  // table order on this thread.
+  std::optional<CircularScanGroup> private_group;
+  if (scan_group == nullptr) {
+    scan_group = &private_group.emplace(table, 1, ctx->metrics());
+  }
+  auto ticket = scan_group->Attach();
+  while (ScanPageRef page = ticket->Next()) {
+    if (ctx->StopRequested()) {
+      ticket->Cancel();
+      return FinishStopped(ctx, sink);
     }
-    Status scan_status = ticket->FinalStatus();
-    if (!scan_status.ok()) {
-      sink->Close(scan_status);
-      return scan_status;
+    if (!kernel.Run(page->data(), &emitter)) {
+      ticket->Cancel();
+      return FinishNoConsumers(sink);
     }
-  } else {
-    BufferPool* pool = table->buffer_pool();
-    for (std::size_t p = 0; p < table->num_pages(); ++p) {
-      if (ctx->StopRequested()) return FinishStopped(ctx, sink);
-      auto guard_or = pool->FetchPage(table->page_id(p));
-      if (!guard_or.ok()) {
-        sink->Close(guard_or.status());
-        return guard_or.status();
-      }
-      if (!kernel.Run(guard_or.value().data(), &emitter)) {
-        return FinishNoConsumers(sink);
-      }
-    }
+  }
+  Status scan_status = ticket->FinalStatus();
+  if (!scan_status.ok()) {
+    sink->Close(scan_status);
+    return scan_status;
   }
 
   if (!emitter.Flush()) return FinishNoConsumers(sink);

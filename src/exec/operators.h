@@ -19,10 +19,9 @@ namespace sharing {
 /// Scans `table`, filters with node.predicate(), projects node.projection()
 /// and emits pages of the node's output schema.
 ///
-/// When `scan_group` is non-null the scan attaches to the shared circular
-/// scan (pages arrive in wrap-around order; selection semantics are
-/// unaffected). Otherwise pages are fetched directly through the buffer
-/// pool in table order.
+/// The scan rides `scan_group`'s circular scan (pages arrive in
+/// wrap-around order; selection semantics are unaffected). A null group
+/// gives the call a cycle of its own, which reads the table in order.
 Status RunScan(const ScanNode& node, const Table* table,
                CircularScanGroup* scan_group, ExecContext* ctx,
                PageSink* sink);

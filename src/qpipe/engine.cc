@@ -183,8 +183,8 @@ QPipeEngine::~QPipeEngine() {
   // through the stages about to shut down.
   if (admin_server_ != nullptr) admin_server_->Stop();
   if (watchdog_ != nullptr) watchdog_->Stop();
-  // Stages drain their queues before the scan groups (whose producer
-  // threads feed scan packets) are destroyed.
+  // Stages drain their queues before the scan groups are destroyed: a
+  // scan packet's ticket must not outlive its group.
   tscan_->Shutdown();
   join_->Shutdown();
   agg_->Shutdown();
@@ -283,8 +283,7 @@ PageSourceRef QPipeEngine::Dispatch(const PlanNodeRef& node,
       auto table_or = catalog_->GetTable(scan->table_name());
       SHARING_CHECK(table_or.ok()) << table_or.status().ToString();
       Table* table = table_or.value();
-      CircularScanGroup* group =
-          options_.shared_scans ? ScanGroupFor(table) : nullptr;
+      CircularScanGroup* group = ScanGroupFor(table);
       return tscan_->SubmitOrShare(
           node, ctx, /*make_inputs=*/{}, [table, group](Packet& p) {
             p.table = table;

@@ -32,9 +32,6 @@ struct QPipeOptions {
   /// stage, e.g. scan_stage()->SetSpMode(SpMode::kPull).
   SpMode sp_mode = SpMode::kOff;
 
-  /// Circular shared scans at the storage layer (independent of SP).
-  bool shared_scans = true;
-
   /// Initial workers per stage (pools grow elastically).
   std::size_t stage_workers = 2;
 

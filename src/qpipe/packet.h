@@ -28,7 +28,7 @@ struct Packet {
 
   // Scan packets only:
   const Table* table = nullptr;
-  CircularScanGroup* scan_group = nullptr;  // null = direct buffer-pool scan
+  CircularScanGroup* scan_group = nullptr;
 };
 
 }  // namespace sharing

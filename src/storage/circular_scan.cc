@@ -14,72 +14,32 @@ ScanPage::~ScanPage() {
   if (loops_past_pool) guard.ReleaseAsNextVictim();
 }
 
-// ---------------------------------------------------------------------------
-// ScanReadahead
-// ---------------------------------------------------------------------------
-
-ScanReadahead::ScanReadahead(const Table* table,
-                             std::shared_ptr<IoScheduler> scheduler,
-                             std::size_t depth)
-    : table_(table), scheduler_(std::move(scheduler)), depth_(depth) {}
-
-ScanReadahead::~ScanReadahead() {
-  for (const auto& ticket : tickets_) ticket->TryCancel();
-}
-
-void ScanReadahead::Ahead(uint64_t seq) {
-  if (scheduler_ == nullptr || depth_ == 0) return;
-  BufferPool* pool = table_->buffer_pool();
-  const uint64_t n_pages = table_->num_pages();
-  // Drop completed tickets so the deque tracks only live readahead.
-  while (!tickets_.empty() && tickets_.front()->done()) {
-    tickets_.pop_front();
+StatusOr<ScanPageRef> FetchScanPage(const Table* table, uint64_t position) {
+  auto guard_or = table->buffer_pool()->FetchPage(table->page_id(position));
+  if (!guard_or.ok()) {
+    SHARING_LOG(Error) << "circular scan of " << table->name()
+                       << " failed: " << guard_or.status().ToString();
+    return guard_or.status();
   }
-  const uint64_t target = seq + depth_;
-  for (uint64_t s = std::max(seq + 1, prefetched_until_ + 1); s <= target;
-       ++s) {
-    // Readahead that cannot keep up is readahead that arrives too late
-    // to help: once `depth_` jobs are outstanding, stop issuing instead
-    // of backlogging the scheduler queue without bound. Skipped
-    // positions are simply future cache misses; the scan moves on and
-    // later calls target only what is still ahead of it.
-    if (tickets_.size() >= depth_) break;
-    const PageId pid = table_->page_id(s % n_pages);
-    // A page that is already resident would be a free hit — don't spend
-    // scheduler budget (or inflate io.reads_issued) re-fetching it. The
-    // probe is advisory; a page evicted right after just misses later.
-    if (pool->IsResident(pid)) {
-      prefetched_until_ = std::max(prefetched_until_, s);
-      continue;
-    }
-    // The job captures only the database-owned pool and the page id, so
-    // it stays safe even if the scan dies before it runs. Fetch + drop
-    // leaves the page resident for the scan's upcoming FetchPage.
-    IoTicketRef ticket = scheduler_->Submit(
-        IoPriority::kScanPrefetch, kPageBytes, [pool, pid] {
-          auto guard_or = pool->FetchPage(pid);
-          return guard_or.ok() ? Status::OK() : guard_or.status();
-        });
-    if (ticket == nullptr) return;  // scheduler shut down
-    tickets_.push_back(std::move(ticket));
-    prefetched_until_ = std::max(prefetched_until_, s);
-  }
+  auto page = std::make_shared<ScanPage>();
+  page->guard = std::move(guard_or).value();
+  page->position = position;
+  page->loops_past_pool = LoopsPastPool(table);
+  return page;
 }
 
 // ---------------------------------------------------------------------------
 // Consumer
 // ---------------------------------------------------------------------------
 
-bool CircularScanGroup::Ticket::Consumer::Deliver(ScanPageRef page) {
+void CircularScanGroup::Ticket::Consumer::Deliver(ScanPageRef page) {
   std::unique_lock<std::mutex> lock(mutex);
   cv.wait(lock, [&] { return queue.size() < depth || closed; });
-  if (closed || remaining == 0) return false;
+  if (closed) return;
   queue.push_back(std::move(page));
   --remaining;
-  bool done = remaining == 0;
   lock.unlock();
   cv.notify_all();
-  return !done;
 }
 
 // ---------------------------------------------------------------------------
@@ -89,17 +49,37 @@ bool CircularScanGroup::Ticket::Consumer::Deliver(ScanPageRef page) {
 CircularScanGroup::Ticket::~Ticket() { Cancel(); }
 
 ScanPageRef CircularScanGroup::Ticket::Next() {
-  std::unique_lock<std::mutex> lock(consumer_->mutex);
-  consumer_->cv.wait(lock, [&] {
-    return !consumer_->queue.empty() || consumer_->closed ||
-           (consumer_->remaining == 0 && consumer_->queue.empty());
-  });
-  if (consumer_->queue.empty()) return nullptr;
-  ScanPageRef page = std::move(consumer_->queue.front());
-  consumer_->queue.pop_front();
-  lock.unlock();
-  consumer_->cv.notify_all();
-  return page;
+  Consumer& c = *consumer_;
+  std::unique_lock<std::mutex> lock(c.mutex);
+  for (;;) {
+    if (!c.queue.empty()) {
+      ScanPageRef page = std::move(c.queue.front());
+      c.queue.pop_front();
+      lock.unlock();
+      c.cv.notify_all();  // a claimer may be waiting for room
+      return page;
+    }
+    if (c.closed || c.remaining == 0) return nullptr;
+    c.kicked = false;
+    lock.unlock();
+    if (!group_->claiming_.exchange(true)) {
+      if (ScanPageRef page = group_->ClaimFor(consumer_)) return page;
+      lock.lock();
+      continue;
+    }
+    // Another thread is claiming: it queues this ticket's page, or kicks
+    // the tickets waiting for it when the claim ends. Registering before
+    // the re-check means a claim that ends in between still kicks us.
+    {
+      std::lock_guard<std::mutex> waiters_lock(group_->waiters_mutex_);
+      group_->waiters_.push_back(consumer_);
+    }
+    lock.lock();
+    if (!group_->claiming_.load()) continue;
+    c.cv.wait(lock, [&] {
+      return !c.queue.empty() || c.closed || c.remaining == 0 || c.kicked;
+    });
+  }
 }
 
 Status CircularScanGroup::Ticket::FinalStatus() const {
@@ -108,13 +88,7 @@ Status CircularScanGroup::Ticket::FinalStatus() const {
 }
 
 void CircularScanGroup::Ticket::Cancel() {
-  {
-    std::lock_guard<std::mutex> lock(consumer_->mutex);
-    if (consumer_->closed) return;
-    consumer_->closed = true;
-    consumer_->queue.clear();  // release pins
-  }
-  consumer_->cv.notify_all();
+  group_->Close(consumer_, Status::OK());
 }
 
 // ---------------------------------------------------------------------------
@@ -126,106 +100,70 @@ CircularScanGroup::CircularScanGroup(const Table* table,
                                      MetricsRegistry* metrics,
                                      std::shared_ptr<IoScheduler> scheduler,
                                      std::size_t prefetch_depth)
-    : table_(table),
-      queue_depth_(std::max<std::size_t>(1, queue_depth)),
-      metrics_(metrics),
-      pages_read_(metrics->GetCounter(metrics::kScanPagesRead)),
-      shared_attach_(metrics->GetCounter(metrics::kScanSharedAttach)),
-      readahead_(table, std::move(scheduler), prefetch_depth) {}
-
-CircularScanGroup::~CircularScanGroup() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-    for (auto& c : consumers_) {
-      std::lock_guard<std::mutex> clock(c->mutex);
-      c->closed = true;
-    }
-    for (auto& c : consumers_) c->cv.notify_all();
-  }
-  wake_producer_.notify_all();
-  // After the join nobody issues new readahead; readahead_'s destructor
-  // then cancels whatever is still queued.
-  if (producer_.joinable()) producer_.join();
-}
+    : queue_depth_(std::max<std::size_t>(1, queue_depth)),
+      cursor_(table, metrics, std::move(scheduler), prefetch_depth) {}
 
 std::unique_ptr<CircularScanGroup::Ticket> CircularScanGroup::Attach() {
+  // On an empty table the ticket is born complete (remaining == 0).
   auto consumer = std::make_shared<Ticket::Consumer>(
-      queue_depth_, table_->num_pages());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    SHARING_CHECK(!shutdown_);
-    if (!consumers_.empty()) shared_attach_->Increment();
-    if (table_->num_pages() > 0) {
-      consumers_.push_back(consumer);
-      if (!producer_started_) {
-        producer_started_ = true;
-        producer_ = std::thread([this] { ProducerLoop(); });
-      }
-    } else {
-      // Empty table: the ticket is born complete (remaining == 0).
-    }
-  }
-  wake_producer_.notify_all();
+      queue_depth_, table()->num_pages());
+  cursor_.Join(consumer);
   return std::unique_ptr<Ticket>(new Ticket(this, std::move(consumer)));
 }
 
 std::size_t CircularScanGroup::ActiveConsumers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return consumers_.size();
+  return cursor_.riders();
 }
 
-void CircularScanGroup::ProducerLoop() {
-  BufferPool* pool = table_->buffer_pool();
-  const std::size_t n_pages = table_->num_pages();
-  const bool loops_past_pool = LoopsPastPool(table_);
-  for (;;) {
-    // Snapshot the consumers that still want pages; prune finished ones.
-    std::vector<std::shared_ptr<Ticket::Consumer>> active;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      consumers_.erase(
-          std::remove_if(consumers_.begin(), consumers_.end(),
-                         [](const std::shared_ptr<Ticket::Consumer>& c) {
-                           std::lock_guard<std::mutex> clock(c->mutex);
-                           return c->closed || c->remaining == 0;
-                         }),
-          consumers_.end());
-      wake_producer_.wait(lock,
-                          [&] { return shutdown_ || !consumers_.empty(); });
-      if (shutdown_) return;
-      active = consumers_;
-    }
-
-    const uint64_t seq = read_seq_++;
-    const uint64_t position = seq % n_pages;
-    readahead_.Ahead(seq);
-    auto guard_or = pool->FetchPage(table_->page_id(position));
-    if (!guard_or.ok()) {
-      SHARING_LOG(Error) << "circular scan fetch failed: "
-                         << guard_or.status().ToString();
-      // Close all consumers with the error recorded, so their scans
-      // surface an IoError instead of silently reporting a short table.
-      for (auto& c : active) {
-        {
-          std::lock_guard<std::mutex> clock(c->mutex);
-          c->closed = true;
-          if (c->error.ok()) c->error = guard_or.status();
-        }
-        c->cv.notify_all();
-      }
-      continue;
-    }
-    auto page = std::make_shared<ScanPage>();
-    page->guard = std::move(guard_or).value();
-    page->position = position;
-    page->loops_past_pool = loops_past_pool;
-    pages_read_->Increment();
-
-    for (auto& c : active) {
-      c->Deliver(page);
-    }
+void CircularScanGroup::Close(const ConsumerRef& consumer,
+                              const Status& error) {
+  {
+    std::lock_guard<std::mutex> lock(consumer->mutex);
+    if (error.ok()) consumer->queue.clear();  // cancelled: release pins
+    if (consumer->closed) return;
+    consumer->closed = true;
+    consumer->error = error;
   }
+  consumer->cv.notify_all();
+  cursor_.Leave(consumer);
+}
+
+ScanPageRef CircularScanGroup::ClaimFor(const ConsumerRef& self) {
+  ScanPageRef mine;
+  if (auto seq = cursor_.Claim(&claim_riders_)) {
+    auto page_or = cursor_.Fetch(*seq);
+    for (const ConsumerRef& c : claim_riders_) {
+      if (!page_or.ok()) {
+        // Close every rider owed the page with the read's status, so its
+        // scan surfaces an IoError instead of a short table.
+        Close(c, page_or.status());
+      } else if (c != self) {
+        c->Deliver(page_or.value());
+      } else {
+        std::lock_guard<std::mutex> lock(c->mutex);
+        if (!c->closed) {
+          --c->remaining;
+          mine = page_or.value();
+        }
+      }
+    }
+    claim_riders_.clear();
+  }
+  // Kick the tickets that waited for this claim to end.
+  claiming_.store(false);
+  std::vector<ConsumerRef> waiters;
+  {
+    std::lock_guard<std::mutex> lock(waiters_mutex_);
+    waiters.swap(waiters_);
+  }
+  for (const ConsumerRef& c : waiters) {
+    {
+      std::lock_guard<std::mutex> lock(c->mutex);
+      c->kicked = true;
+    }
+    c->cv.notify_all();
+  }
+  return mine;
 }
 
 }  // namespace sharing

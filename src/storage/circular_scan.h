@@ -1,50 +1,49 @@
 // Circular shared scans (paper §2 "Sharing in the I/O layer").
 //
-// Both QPipe and CJOIN coordinate concurrent scans of the same relation
-// with circular scans: one producer reads pages round-robin and every
-// attached scanner consumes the stream from its attach position until it
-// has seen the whole table (one full cycle). k concurrent scans of a table
-// then cost ~1x the disk reads instead of kx.
+// QPipe and CJOIN both coordinate concurrent scans of a relation with a
+// circular scan: pages are read round-robin, and every attached scanner
+// consumes the stream from its attach position until it has seen the
+// whole table once. k concurrent scans of a table then cost ~1x the disk
+// reads instead of kx.
 //
-// A CircularScanGroup owns one lazily started producer thread per table.
-// Consumers attach and receive pinned page handles through small bounded
-// queues (the producer paces to the slowest consumer, as QPipe throttles
-// its shared scans). A consumer may cancel early (query abort), which
-// simply detaches it.
+// Both engines write that cycle once, as a `ScanCursor` with no thread of
+// its own (DESIGN.md decision #22). Under one mutex it holds the read
+// sequence (position = seq % num_pages), the riders and the readahead. A
+// rider is a consumer owed exactly num_pages positions, from the first
+// claim after it joins. Whoever needs the next position calls Claim(),
+// which also issues readahead of the next `prefetch_depth` positions at
+// the scheduler's kScanPrefetch priority, then Fetch()es the page outside
+// the mutex and hands it to the riders the claim returned. A rider that
+// leaves early is removed at once.
+//  * QPipe (`CircularScanGroup`): a ticket's Next() pops its bounded
+//    queue. When the queue is empty and no claim is in progress, the
+//    calling thread claims the next position itself, queues the page for
+//    every other rider and returns it; otherwise it waits until a page
+//    arrives or the claimer kicks it. The claimer waits on a rider whose
+//    queue is full, so the slowest consumer paces the rest and the I/O
+//    stays shared. A lone ticket is a plain scan on its caller's thread.
+//  * CJOIN (src/cjoin/pipeline.h): the riders are the admitted queries,
+//    and the pipeline's workers claim positions.
 //
-// With an IoScheduler configured, the producer issues readahead for the
-// next `prefetch_depth` positions through the scheduler's kScanPrefetch
-// class (the highest priority: the circular stream paces *every*
-// attached consumer) instead of paying each miss inline, so under a
-// disk-latency model the page it needs next is usually already resident
-// when it gets there. Prefetch is best-effort: a failed or cancelled
-// readahead is just a future buffer-pool miss.
-//
-// The readahead itself is `ScanReadahead`, a small helper shared by both
-// circular scans of the engine: this group's producer and the CJOIN
-// pipeline's fact-table driver (src/cjoin/pipeline.h). Each calls
-// Ahead() with its read sequence just before it fetches a page.
-//
-// Both scans also share one release rule, `LoopsPastPool`. A table with
-// more pages than the pool has frames would miss on every page of every
-// cycle under the clock, which is LRU-like (Chou and DeWitt's "looping
-// sequential" pattern). So each page such a scan has consumed is
-// released as the pool's next eviction victim (MRU), and a stable part
-// of the table stays resident across cycles (DESIGN.md decision #16).
-// Here the last `ScanPageRef` to a page does the release: a page that
-// another consumer still holds is never hinted early, and a cancelled
-// consumer's queued pages go the same way. Readahead keeps the plain
-// release.
+// Both scans share one release rule, `LoopsPastPool`. A table with more
+// pages than the pool has frames would miss on every page of every cycle
+// under the LRU-like clock (Chou and DeWitt's "looping sequential"
+// pattern), so the last `ScanPageRef` to a consumed page releases it as
+// the pool's next victim (MRU), and a stable part of the table stays
+// resident across cycles (DESIGN.md decision #16). A page another
+// consumer still holds is never hinted early. Readahead keeps the plain
+// release, and a failed or cancelled readahead is just a later miss.
 
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/macros.h"
@@ -82,33 +81,138 @@ struct ScanPage {
 
 using ScanPageRef = std::shared_ptr<ScanPage>;
 
-/// Bounded scheduler readahead for one circular scan of `table`. Owned
-/// and driven by the single thread that advances the scan; not
-/// thread-safe. With no scheduler or depth 0, Ahead() is a no-op and the
-/// scan pays every miss inline.
-class ScanReadahead {
+/// Fetches page `position` of `table` as a ScanPage carrying the table's
+/// LoopsPastPool verdict; logs and returns the error of a failed read.
+StatusOr<ScanPageRef> FetchScanPage(const Table* table, uint64_t position);
+
+/// One circular cycle over a table and the riders on it. `Rider` is a
+/// copyable handle (a shared_ptr) compared by ==. Thread-safe.
+template <typename Rider>
+class ScanCursor {
  public:
-  ScanReadahead(const Table* table, std::shared_ptr<IoScheduler> scheduler,
-                std::size_t depth);
+  /// `scheduler` (optional): readahead of the next `prefetch_depth`
+  /// positions; null or depth 0 = none, and claimers pay every miss.
+  ScanCursor(const Table* table, MetricsRegistry* metrics,
+             std::shared_ptr<IoScheduler> scheduler,
+             std::size_t prefetch_depth)
+      : table_(table),
+        pages_read_(metrics->GetCounter(metrics::kScanPagesRead)),
+        shared_attach_(metrics->GetCounter(metrics::kScanSharedAttach)),
+        scheduler_(std::move(scheduler)),
+        prefetch_depth_(prefetch_depth) {}
   /// Cancels readahead still queued. Jobs capture only the buffer pool
   /// and a page id, so one already running finishes harmlessly.
-  ~ScanReadahead();
+  ~ScanCursor() {
+    for (const auto& ticket : tickets_) ticket->TryCancel();
+  }
+  SHARING_DISALLOW_COPY_AND_MOVE(ScanCursor);
 
-  SHARING_DISALLOW_COPY_AND_MOVE(ScanReadahead);
+  /// Adds `rider`, owed the next num_pages positions (on an empty table
+  /// it is never added). Counts scan.shared_attach when others ride.
+  void Join(Rider rider) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!riders_.empty()) shared_attach_->Increment();
+    if (table_->num_pages() > 0) {
+      riders_.push_back({std::move(rider), table_->num_pages()});
+    }
+  }
 
-  /// Issues kScanPrefetch jobs for the positions following absolute read
-  /// sequence `seq` (the caller's monotone page counter; position =
-  /// seq % num_pages), skipping pages already resident and never
-  /// holding more than `depth` jobs outstanding.
-  void Ahead(uint64_t seq);
+  /// Claims the next position, issues its readahead and counts
+  /// scan.pages_read. Returns its read sequence and fills `riders` (a
+  /// buffer the caller reuses) with the riders owed it; nullopt when
+  /// nobody rides. A rider owed nothing more afterwards is dropped.
+  std::optional<uint64_t> Claim(std::vector<Rider>* riders) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (riders_.empty()) return std::nullopt;
+    const uint64_t seq = seq_++;
+    pages_read_->Increment();
+    ReadAhead(seq);
+    riders->clear();
+    for (auto& entry : riders_) {
+      riders->push_back(entry.rider);
+      --entry.owed;
+    }
+    std::erase_if(riders_, [](const Entry& e) { return e.owed == 0; });
+    return seq;
+  }
+
+  /// Removes `rider` now; returns the positions it was still owed (0 if
+  /// it already finished or left).
+  uint64_t Leave(const Rider& rider) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = std::find_if(riders_.begin(), riders_.end(),
+                           [&](const Entry& e) { return e.rider == rider; });
+    if (it == riders_.end()) return 0;
+    const uint64_t owed = it->owed;
+    riders_.erase(it);
+    return owed;
+  }
+
+  /// Calls `fn(rider)` for every rider, under the cursor mutex (which is
+  /// taken before any lock `fn` takes).
+  template <typename Fn>
+  void ForEachRider(Fn fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& entry : riders_) fn(entry.rider);
+  }
+
+  std::size_t riders() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return riders_.size();
+  }
+
+  /// Reads the page at sequence `seq`; call it without holding the lock.
+  StatusOr<ScanPageRef> Fetch(uint64_t seq) const {
+    return FetchScanPage(table_, seq % table_->num_pages());
+  }
+
+  const Table* table() const { return table_; }
 
  private:
+  /// Queues kScanPrefetch jobs for the positions after `seq`, skipping
+  /// resident pages and never holding more than prefetch_depth_ jobs
+  /// outstanding: readahead that cannot keep up arrives too late to help,
+  /// so skipped positions are simply future misses.
+  void ReadAhead(uint64_t seq) {
+    if (scheduler_ == nullptr || prefetch_depth_ == 0) return;
+    while (!tickets_.empty() && tickets_.front()->done()) {
+      tickets_.pop_front();
+    }
+    for (uint64_t s = std::max(seq, prefetched_until_) + 1;
+         s <= seq + prefetch_depth_ && tickets_.size() < prefetch_depth_;
+         prefetched_until_ = s++) {
+      BufferPool* pool = table_->buffer_pool();
+      const PageId pid = table_->page_id(s % table_->num_pages());
+      // A resident page would be a free hit: don't spend scheduler budget
+      // (or inflate io.reads_issued) on it. The job captures only the
+      // database-owned pool and the page id, so it stays safe if the scan
+      // dies before it runs.
+      if (pool->IsResident(pid)) continue;
+      IoTicketRef ticket = scheduler_->Submit(
+          IoPriority::kScanPrefetch, kPageBytes, [pool, pid] {
+            auto guard_or = pool->FetchPage(pid);
+            return guard_or.ok() ? Status::OK() : guard_or.status();
+          });
+      if (ticket == nullptr) return;  // scheduler shut down
+      tickets_.push_back(std::move(ticket));
+    }
+  }
+
+  struct Entry {
+    Rider rider;
+    uint64_t owed;  // positions still to claim for this rider
+  };
+
   const Table* table_;
+  Counter* pages_read_;
+  Counter* shared_attach_;
   std::shared_ptr<IoScheduler> scheduler_;
-  std::size_t depth_;
-  // The highest sequence already prefetched, and the outstanding tickets
-  // (bounded by depth_; cancelled at destruction so no queued readahead
-  // outlives its scan).
+  std::size_t prefetch_depth_;
+
+  mutable std::mutex mutex_;
+  std::vector<Entry> riders_;
+  uint64_t seq_ = 0;
+  // The highest sequence already prefetched, and the outstanding jobs.
   uint64_t prefetched_until_ = 0;
   std::deque<IoTicketRef> tickets_;
 };
@@ -123,17 +227,17 @@ class CircularScanGroup {
       MetricsRegistry* metrics = &MetricsRegistry::Global(),
       std::shared_ptr<IoScheduler> scheduler = nullptr,
       std::size_t prefetch_depth = 4);
-  ~CircularScanGroup();
 
   SHARING_DISALLOW_COPY_AND_MOVE(CircularScanGroup);
 
   class Ticket;
 
   /// Attaches a scanner at the current cursor position; it will observe
-  /// exactly one full cycle of the table.
+  /// exactly one full cycle of the table. Tickets must not outlive the
+  /// group.
   std::unique_ptr<Ticket> Attach();
 
-  const Table* table() const { return table_; }
+  const Table* table() const { return cursor_.table(); }
 
   /// Scanners currently attached (for tests/monitoring).
   std::size_t ActiveConsumers() const;
@@ -143,7 +247,8 @@ class CircularScanGroup {
     ~Ticket();
     SHARING_DISALLOW_COPY_AND_MOVE(Ticket);
 
-    /// Blocks until the next page is available. Returns nullptr when this
+    /// Blocks until the next page is available, claiming and reading it
+    /// on this thread when nobody else is. Returns nullptr when this
     /// scanner has seen the full table (or was cancelled / hit an error —
     /// check FinalStatus() to tell the difference).
     ScanPageRef Next();
@@ -176,33 +281,32 @@ class CircularScanGroup {
     std::size_t depth;
     uint64_t remaining;  // pages left to deliver
     bool closed = false;
-    Status error;  // non-OK when the producer hit an I/O failure
+    bool kicked = false;  // a claim it waited for has ended
+    Status error;         // non-OK when a claim's read failed
 
-    /// Producer side: blocks until there is room or the consumer closed.
-    /// Returns false if the consumer is done/closed.
-    bool Deliver(ScanPageRef page);
+    /// Claimer side: blocks until there is room or the consumer closed.
+    void Deliver(ScanPageRef page);
   };
+  using ConsumerRef = std::shared_ptr<Ticket::Consumer>;
 
-  void ProducerLoop();
+  /// Claims, reads and fans out the next position for `self`, whose queue
+  /// is empty; returns self's copy of the page, if it was owed one. The
+  /// caller won `claiming_`, and this releases it.
+  ScanPageRef ClaimFor(const ConsumerRef& self);
 
-  const Table* table_;
+  /// Closes `consumer` with `error` (OK = cancelled, which also drops its
+  /// queued pages) and takes it off the cursor.
+  void Close(const ConsumerRef& consumer, const Status& error);
+
   std::size_t queue_depth_;
-  MetricsRegistry* metrics_;
-  Counter* pages_read_;
-  Counter* shared_attach_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable wake_producer_;
-  std::vector<std::shared_ptr<Ticket::Consumer>> consumers_;
-  bool shutdown_ = false;
-  bool producer_started_ = false;
-  std::thread producer_;
-
-  // Producer thread only, no lock needed: the absolute read sequence
-  // (the next position to read is read_seq_ % num_pages) and its
-  // readahead (destroyed after the producer is joined).
-  uint64_t read_seq_ = 0;
-  ScanReadahead readahead_;
+  ScanCursor<ConsumerRef> cursor_;
+  /// True while one ticket's thread runs ClaimFor, which alone uses
+  /// claim_riders_.
+  std::atomic<bool> claiming_{false};
+  std::vector<ConsumerRef> claim_riders_;
+  /// Tickets waiting for the current claim to end; its claimer kicks them.
+  std::mutex waiters_mutex_;
+  std::vector<ConsumerRef> waiters_;
 };
 
 }  // namespace sharing

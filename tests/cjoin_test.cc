@@ -506,6 +506,30 @@ TEST_F(CJoinTest, ManyConcurrentQueriesAllCorrect) {
   EXPECT_EQ(ok.load(), kQueries);
 }
 
+TEST_F(CJoinTest, PipelineRunsOnlyItsWorkers) {
+  CJoinOptions options;
+  options.workers = 2;
+  // A sanitizer runtime may start a thread of its own along with the
+  // process's first thread: create one, and keep it alive, before
+  // counting.
+  std::promise<void> release;
+  std::thread idle([done = release.get_future()] { done.wait(); });
+  const int threads_before = testing::ProcessThreads();
+  ASSERT_GT(threads_before, 0);
+  {
+    CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), options,
+                           db_->metrics());
+    EXPECT_EQ(testing::ProcessThreads(), threads_before + 2);
+    // The workers alone run the cycle: a query still completes.
+    auto plan = OneDimPlan();
+    auto got = RunThroughCJoin(&pipeline, plan);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (got.ok()) ExpectResultsEquivalent(Reference(plan), got.value());
+  }
+  release.set_value();
+  idle.join();
+}
+
 TEST_F(CJoinTest, AdmissionBeyondCapacityWaits) {
   CJoinOptions options;
   options.max_queries = 2;  // force waiting
@@ -577,7 +601,7 @@ TEST_F(CJoinTest, RecycledBitsNeverLeakIntoAnotherQuery) {
 
 TEST_F(CJoinTest, DeadlineEndsAQueryWithinItsCycle) {
   // No fact row passes this star's fact predicate, so nothing is ever
-  // routed to it: only the driver can notice the deadline.
+  // routed to it: only a worker's claim can notice the deadline.
   auto silent = TwoDimPlan(/*fact_lt=*/0);
   auto plan = TwoDimPlan();
   const ResultSet want = Reference(plan);
@@ -607,7 +631,7 @@ TEST_F(CJoinTest, DeadlineEndsAQueryWithinItsCycle) {
 
 TEST_F(CJoinTest, CancelledQueryLeavesItsCycleWithoutOutput) {
   // Nothing is routed to this star, so the distributor never sees it:
-  // the driver must notice the cancellation between pages.
+  // a worker's claim must notice the cancellation between pages.
   auto silent = TwoDimPlan(/*fact_lt=*/0);
   db_->SetDiskResident(/*read_latency_micros=*/2000, /*bandwidth_mib=*/1500);
   ColdFactWarmDimensions();
@@ -855,7 +879,7 @@ TEST_F(CJoinPrefetchTest, TeardownCancelsQueuedReadahead) {
   const ResultSet want = Reference(plan);
   ASSERT_TRUE(db_->buffer_pool()->EvictAll().ok());
 
-  // Park both I/O workers so every readahead the driver issues stays
+  // Park both I/O workers so every readahead the claims issue stays
   // queued: the query then pays each miss inline and must still finish.
   auto scheduler = MakeScheduler();
   std::promise<void> release;

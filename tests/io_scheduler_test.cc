@@ -599,7 +599,7 @@ TEST(CircularScanPrefetchTest, ConcurrentAttachDetachCancelStress) {
       });
     }
     for (auto& t : threads) t.join();
-    // The producer prunes closed consumers lazily on its next sweep.
+    // Closed and finished tickets leave the cursor at once.
     for (int spin = 0; spin < 1000 && group.ActiveConsumers() > 0; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -622,8 +622,9 @@ TEST(CircularScanPrefetchTest, SlowConsumerBackpressureBoundsQueueDepth) {
   for (std::size_t i = 0; i < kConsumed; ++i) {
     ASSERT_NE(slow->Next(), nullptr);
   }
-  // Give the producer every chance to run ahead; backpressure must stop
-  // it at consumed + queue depth + the one page it may hold in Deliver.
+  // Give the scan every chance to run ahead; backpressure must stop it
+  // at consumed + queue depth + the one page a claimer may hold in
+  // Deliver.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_LE(metrics.GetCounter(metrics::kScanPagesRead)->Get(),
             static_cast<int64_t>(kConsumed + kQueueDepth + 1))

@@ -119,7 +119,7 @@ class FaultTest : public ::testing::Test {
 
 TEST_F(FaultTest, PlainScanSurfacesIoError) {
   QPipeOptions options;
-  options.shared_scans = false;
+  options.io_threads = 0;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
   SHARING_CHECK_OK(FaultRegistry::Global().Arm("disk.read=once"));
   auto result = engine.Execute(ScanAll());
@@ -134,7 +134,6 @@ TEST_F(FaultTest, PlainScanSurfacesIoError) {
 
 TEST_F(FaultTest, SharedCircularScanSurfacesIoErrorNotShortResult) {
   QPipeOptions options;
-  options.shared_scans = true;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
   // Warm path works.
   ASSERT_TRUE(engine.Execute(ScanAll()).ok());

@@ -498,6 +498,20 @@ TEST(CircularScanTest, SingleConsumerSeesWholeTableOnce) {
   EXPECT_EQ(positions.size(), table->num_pages());
 }
 
+TEST(CircularScanTest, LoneTicketSpawnsNoThread) {
+  auto db = testing::MakeTestDatabase();
+  Table* table = testing::MakeSimpleTable(db.get(), "t", 2000);
+  CircularScanGroup group(table, 4, db->metrics());
+  const int threads_before = testing::ProcessThreads();
+  ASSERT_GT(threads_before, 0);
+  // The ticket claims and reads every page on the test thread.
+  auto ticket = group.Attach();
+  std::size_t pages = 0;
+  while (ticket->Next()) ++pages;
+  EXPECT_EQ(pages, table->num_pages());
+  EXPECT_EQ(testing::ProcessThreads(), threads_before);
+}
+
 TEST(CircularScanTest, ConcurrentConsumersShareOneStream) {
   auto db = testing::MakeTestDatabase();
   Table* table = testing::MakeSimpleTable(db.get(), "t", 4000);
@@ -524,12 +538,11 @@ TEST(CircularScanTest, ConcurrentConsumersShareOneStream) {
     EXPECT_EQ(total_pages.load(), kScanners * static_cast<int>(n_pages));
   }
   auto delta = MetricsRegistry::Delta(before, db->metrics()->Snapshot());
-  // The producer read each page once per cycle, NOT once per scanner:
-  // unshared scans would read exactly 4x the table. Before the test
-  // thread attaches the rest, the producer can fill the first scanner's
-  // queue and block delivering one more page, so the later scanners join
-  // at most kQueueDepth + 1 pages into the cycle and finish that far
-  // into the next.
+  // The claimers read each page once per cycle, NOT once per scanner:
+  // unshared scans would read exactly 4x the table. A claimer can fill
+  // another scanner's queue and block delivering one more page, so a
+  // scanner that joins late joins at most kQueueDepth + 1 pages into the
+  // cycle and finishes that far into the next.
   EXPECT_LE(delta[metrics::kScanPagesRead],
             n_pages + static_cast<int64_t>(kQueueDepth) + 1);
   EXPECT_GE(delta[metrics::kScanSharedAttach], kScanners - 1);
@@ -676,7 +689,7 @@ TEST_F(LoopingScanTest, SharedPageIsHintedOnlyByItsLastReference) {
     std::thread drain_a(drain, a.get(), &held_a);
     drain(b.get(), &held_b);
     drain_a.join();
-  }  // the producer is joined: only the held page is still pinned
+  }  // both cycles are done: only the held page is still pinned
   ASSERT_NE(held_b, nullptr);
   ASSERT_EQ(held_a, held_b);
   EXPECT_TRUE(held_b->loops_past_pool);
@@ -724,17 +737,25 @@ TEST_F(LoopingScanTest, CancelWithPagesQueuedLeavesEveryFrameUnpinned) {
   StartCold();
 
   CircularScanGroup group(big, kQueueDepth, db_->metrics());
-  auto ticket = group.Attach();
-  ASSERT_NE(ticket->Next(), nullptr);
-  // The producer refills the queue, then blocks delivering one page more.
-  const int64_t queued_and_blocked = 1 + kQueueDepth + 1;
+  auto laggard = group.Attach();
+  auto leader = group.Attach();
+  // The leader claims every page and queues it for the laggard, which
+  // never reads: once its queue is full, the leader blocks delivering
+  // the page after it.
+  std::thread drain_leader([&] {
+    while (leader->Next()) {
+    }
+  });
+  const int64_t queued_and_blocked = kQueueDepth + 1;
   Stopwatch waited;
   while (misses() < queued_and_blocked && waited.ElapsedSeconds() < 10) {
     std::this_thread::yield();
   }
-  ASSERT_EQ(misses(), queued_and_blocked);
+  const int64_t missed = misses();
 
-  ticket->Cancel();
+  laggard->Cancel();
+  drain_leader.join();
+  ASSERT_EQ(missed, queued_and_blocked);
   while (group.ActiveConsumers() > 0 && waited.ElapsedSeconds() < 10) {
     std::this_thread::yield();
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,6 +54,17 @@ inline void ExpectResultsEquivalent(const ResultSet& a, const ResultSet& b,
   for (std::size_t i = 0; i < ra.size(); ++i) {
     ASSERT_EQ(ra[i], rb[i]) << label << ": row " << i << " differs";
   }
+}
+
+/// The number of threads in this process (`Threads:` in
+/// /proc/self/status), or -1 if it cannot be read.
+inline int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 }  // namespace sharing::testing
