@@ -81,7 +81,8 @@ std::vector<PageRef> Materialize(const PlanNodeRef& scan, Database* db) {
   Table* table = db->catalog()->GetTable(node.table_name()).value();
   ExecContext ctx;
   CollectSink sink(/*keep=*/true);
-  SHARING_CHECK_OK(RunScan(node, table, nullptr, &ctx, &sink));
+  CircularScanGroup group(table);
+  SHARING_CHECK_OK(RunScan(node, table, group, &ctx, &sink));
   return std::move(sink.pages);
 }
 
@@ -145,9 +146,10 @@ KernelRates MeasureKernels(Database* db) {
       r.lineitem_rows, BestSeconds(kTrials, [&] {
         ExecContext ctx;
         CollectSink sink(/*keep=*/false);
+        CircularScanGroup group(lineitem);
         SHARING_CHECK_OK(
-            RunScan(static_cast<const ScanNode&>(*q1_scan), lineitem,
-                    nullptr, &ctx, &sink));
+            RunScan(static_cast<const ScanNode&>(*q1_scan), lineitem, group,
+                    &ctx, &sink));
       }));
 
   // Hash aggregate, Q1: 8 aggregates over 4 (returnflag, linestatus)

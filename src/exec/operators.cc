@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -175,20 +174,16 @@ class ScanKernel {
 }  // namespace
 
 Status RunScan(const ScanNode& node, const Table* table,
-               CircularScanGroup* scan_group, ExecContext* ctx,
+               CircularScanGroup& scan_group, ExecContext* ctx,
                PageSink* sink) {
   SHARING_CHECK(table->schema() == node.table_schema())
       << "plan schema does not match table " << table->name();
+  SHARING_CHECK(scan_group.table() == table)
+      << "scan group does not scan table " << table->name();
   PageEmitter emitter(node.output_schema().row_width(), sink);
   ScanKernel kernel(node, table->schema());
 
-  // Without a group the scan rides a cycle of its own: a plain scan in
-  // table order on this thread.
-  std::optional<CircularScanGroup> private_group;
-  if (scan_group == nullptr) {
-    scan_group = &private_group.emplace(table, 1, ctx->metrics());
-  }
-  auto ticket = scan_group->Attach();
+  auto ticket = scan_group.Attach();
   while (ScanPageRef page = ticket->Next()) {
     if (ctx->StopRequested()) {
       ticket->Cancel();

@@ -19,11 +19,10 @@ namespace sharing {
 /// Scans `table`, filters with node.predicate(), projects node.projection()
 /// and emits pages of the node's output schema.
 ///
-/// The scan rides `scan_group`'s circular scan (pages arrive in
-/// wrap-around order; selection semantics are unaffected). A null group
-/// gives the call a cycle of its own, which reads the table in order.
+/// The scan rides `scan_group`'s circular scan of `table` (pages arrive in
+/// wrap-around order; selection semantics are unaffected).
 Status RunScan(const ScanNode& node, const Table* table,
-               CircularScanGroup* scan_group, ExecContext* ctx,
+               CircularScanGroup& scan_group, ExecContext* ctx,
                PageSink* sink);
 
 /// Hash equi-join; consumes the whole build source first, then streams the

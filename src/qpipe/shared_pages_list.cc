@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -134,14 +135,60 @@ void SharedPagesList::Close(Status final) {
   TRACE_EVENT("sharing", "spl.close", trace_query_id_, trace_signature_);
 }
 
-void SharedPagesList::SealAttachWindow() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (sealed_.load(std::memory_order_relaxed)) return;
+void SharedPagesList::Finish(std::function<void()> on_seal) {
+  std::function<void()> hook;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_.load(std::memory_order_relaxed)) return;
+    final_ = Status::OK();
+    on_seal_ = std::move(on_seal);
+    finished_.store(true, std::memory_order_seq_cst);
+    closed_.store(true, std::memory_order_seq_cst);
+    hook = SealIfAbandonedLocked();
+  }
+  WakeParkedReaders();
+  TRACE_EVENT("sharing", "spl.close", trace_query_id_, trace_signature_);
+  if (hook) hook();
+}
+
+std::function<void()> SharedPagesList::SealLocked() {
+  if (sealed_.load(std::memory_order_relaxed)) return nullptr;
   sealed_.store(true, std::memory_order_seq_cst);
   MaybeReclaimLocked();
+  return std::exchange(on_seal_, nullptr);
+}
+
+void SharedPagesList::SealAttachWindow() {
+  std::function<void()> hook;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    hook = SealLocked();
+  }
   // No wake: sealing changes no reader predicate (readers wait for pages
   // or close). The producer's Close, which follows the seal in every
   // channel, performs the terminal wakeup.
+  if (hook) hook();
+}
+
+std::function<void()> SharedPagesList::SealIfAbandonedLocked() {
+  if (!finished_.load(std::memory_order_relaxed) ||
+      active_readers_.load(std::memory_order_relaxed) != 0) {
+    return nullptr;
+  }
+  return SealLocked();
+}
+
+void SharedPagesList::SealAtEnd() {
+  if (!finished_.load(std::memory_order_acquire) ||
+      sealed_.load(std::memory_order_acquire)) {
+    return;
+  }
+  std::function<void()> hook;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    hook = SealLocked();
+  }
+  if (hook) hook();
 }
 
 std::shared_ptr<SplReader> SharedPagesList::AttachReader() {
@@ -211,6 +258,7 @@ SharedPagesList::Snapshot SharedPagesList::GetSnapshot() const {
   snap.total_appended = published_.load(std::memory_order_relaxed);
   snap.min_reader_position = MinReaderPositionShards();
   snap.closed = closed_.load(std::memory_order_relaxed);
+  snap.sealed = sealed_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -449,7 +497,10 @@ std::size_t SplReader::NextBatch(std::size_t max_pages,
     }
     if (list_->closed_.load(std::memory_order_acquire)) {
       published = list_->published_.load(std::memory_order_acquire);
-      if (pos >= published) return 0;
+      if (pos >= published) {
+        list_->SealAtEnd();
+        return 0;
+      }
       continue;
     }
     if (!ParkUntilReady()) return 0;
@@ -640,9 +691,15 @@ void SplReader::Cancel() {
     { std::lock_guard<std::mutex> sync(state_->wait_mutex); }
     state_->wait_cv.notify_all();
   }
-  // The pages this reader was holding back become reclaimable.
-  std::lock_guard<std::mutex> lock(list_->mutex_);
-  list_->MaybeReclaimLocked();
+  // The pages this reader was holding back become reclaimable; the last
+  // reader of a finished list closes its window.
+  std::function<void()> hook;
+  {
+    std::lock_guard<std::mutex> lock(list_->mutex_);
+    hook = list_->SealIfAbandonedLocked();
+    list_->MaybeReclaimLocked();
+  }
+  if (hook) hook();
 }
 
 }  // namespace sharing

@@ -132,6 +132,14 @@ class SharedPagesList
   /// parked reader (they observe end-of-list once past the frontier).
   void Close(Status final);
 
+  /// Producer: ends the list with OK but leaves the attach window open
+  /// until a reader has read the list to its end or every reader has
+  /// left, whichever comes first. The list then seals itself and calls
+  /// `on_seal` once, with no list lock held. A late attacher can still
+  /// read the whole result (nothing is reclaimed before the seal), but
+  /// none can attach once any reader may have returned end-of-stream.
+  void Finish(std::function<void()> on_seal);
+
   /// Closes the attach window: AttachReader() fails from now on, which
   /// makes page reclamation safe (no future reader can need the history).
   /// Idempotent; typically invoked by the owning channel at Close. Does
@@ -211,6 +219,7 @@ class SharedPagesList
     std::size_t total_appended = 0;
     std::size_t min_reader_position = 0;
     bool closed = false;
+    bool sealed = false;
   };
   Snapshot GetSnapshot() const;
 
@@ -381,6 +390,19 @@ class SharedPagesList
   /// Spilled slots are deleted without being re-read.
   void MaybeReclaimLocked();
 
+  /// Seals the attach window (if still open) and reclaims; returns the
+  /// Finish hook for the caller to run once it has dropped mutex_ (empty
+  /// when the list was already sealed or never finished). Requires mutex_.
+  std::function<void()> SealLocked();
+
+  /// A reader reached the end of a closed list: a finished list seals
+  /// now, before the reader can return end-of-stream.
+  void SealAtEnd();
+
+  /// Seals a finished list that no reader is left to read; returns the
+  /// Finish hook as SealLocked does. Requires mutex_.
+  std::function<void()> SealIfAbandonedLocked();
+
   Counter* pages_shared_;
   Counter* pages_reclaimed_;
   Gauge* pages_retained_;
@@ -404,6 +426,9 @@ class SharedPagesList
   std::atomic<std::size_t> base_pub_{0};
   std::atomic<bool> closed_{false};
   std::atomic<bool> sealed_{false};
+  /// Closed by Finish: seals once read to the end or left by every
+  /// reader (a plain Close leaves sealing to its caller).
+  std::atomic<bool> finished_{false};
   std::atomic<std::size_t> active_readers_{0};
   /// Parked readers, maintained by the park/unpark handshake. The
   /// producer skips the wake sweep entirely while it reads zero (the
@@ -422,6 +447,8 @@ class SharedPagesList
   std::size_t in_memory_ = 0;
   Status final_;
   std::size_t ever_attached_ = 0;
+  /// Finish's hook, run once by whoever seals the finished list.
+  std::function<void()> on_seal_;
 
   /// Trace correlation (SetTraceIdentity): written before concurrency
   /// starts, read relaxed from reader threads.

@@ -260,10 +260,11 @@ class PushChannel final : public SharingChannel {
 
 // ---------------------------------------------------------------------------
 // PullChannel: the Shared Pages List behind the channel interface. Close
-// seals the SPL's attach window, which both matches the stage's session
-// lifetime (the registry entry is dropped at close) and arms page
-// reclamation. Each put publishes the whole run with one SPL bookkeeping
-// pass (AppendBatch).
+// seals the SPL's attach window, which both ends the session (on_close
+// deregisters it) and arms page reclamation. Finish leaves the window
+// open until a reader has read the result to its end (SharedPagesList::
+// Finish), and on_close runs at that seal. Each put publishes the whole
+// run with one SPL bookkeeping pass (AppendBatch).
 // ---------------------------------------------------------------------------
 
 class PullChannel final : public SharingChannel {
@@ -303,11 +304,7 @@ class PullChannel final : public SharingChannel {
   }
 
   void Close(Status final) override {
-    {
-      std::lock_guard<std::mutex> lock(close_mutex_);
-      if (closed_) return;
-      closed_ = true;
-    }
+    if (!MarkClosed()) return;
     // Seal strictly before closing: the moment a reader can observe
     // end-of-stream (and its query returns), no new consumer may attach
     // to this finished session — otherwise a later query could be served
@@ -317,19 +314,25 @@ class PullChannel final : public SharingChannel {
     if (options_.on_close) options_.on_close(GetStats());
   }
 
-  Stats GetStats() const override {
-    SharedPagesList::Snapshot snap = spl_->GetSnapshot();
-    Stats stats;
-    stats.readers_attached = snap.ever_attached;
-    stats.readers_active = snap.active_readers;
-    stats.pages_produced = snap.total_appended;
-    stats.attach_window_open = !snap.closed;
-    {
-      std::lock_guard<std::mutex> lock(close_mutex_);
-      stats.max_consumer_lag = lag_.max;
+  void Finish(Status final) override {
+    if (!final.ok()) {
+      Close(std::move(final));
+      return;
     }
-    return stats;
+    if (!MarkClosed()) return;
+    // The SPL seals itself before any reader can return end-of-stream,
+    // so the closing race above cannot happen; until then a twin that
+    // arrives after a fast host finished still shares the result. The
+    // seal may run on a reader's thread after this channel is gone, so
+    // the hook holds only what the stats need.
+    spl_->Finish([spl = std::weak_ptr<SharedPagesList>(spl_), lag = lag_,
+                  on_close = options_.on_close] {
+      auto list = spl.lock();
+      if (list != nullptr && on_close) on_close(StatsOf(*list, *lag));
+    });
   }
+
+  Stats GetStats() const override { return StatsOf(*spl_, *lag_); }
 
   Introspection Introspect() const override {
     SharedPagesList::DeepSnapshot deep = spl_->GetDeepSnapshot();
@@ -356,8 +359,8 @@ class PullChannel final : public SharingChannel {
       out.readers.push_back(info);
     }
     {
-      std::lock_guard<std::mutex> lock(close_mutex_);
-      out.stats.max_consumer_lag = lag_.max;
+      std::lock_guard<std::mutex> lock(lag_->mutex);
+      out.stats.max_consumer_lag = lag_->sampler.max;
     }
     return out;
   }
@@ -365,18 +368,43 @@ class PullChannel final : public SharingChannel {
   SpMode mode() const override { return SpMode::kPull; }
 
  private:
+  /// The production-time lag samples, shared with the Finish hook.
+  struct Lag {
+    std::mutex mutex;
+    LagSampler sampler;
+  };
+
+  static Stats StatsOf(const SharedPagesList& spl, Lag& lag) {
+    SharedPagesList::Snapshot snap = spl.GetSnapshot();
+    Stats stats;
+    stats.readers_attached = snap.ever_attached;
+    stats.readers_active = snap.active_readers;
+    stats.pages_produced = snap.total_appended;
+    stats.attach_window_open = !snap.sealed;
+    std::lock_guard<std::mutex> lock(lag.mutex);
+    stats.max_consumer_lag = lag.sampler.max;
+    return stats;
+  }
+
+  /// True for the first Close/Finish only.
+  bool MarkClosed() {
+    std::lock_guard<std::mutex> lock(lag_->mutex);
+    if (closed_) return false;
+    closed_ = true;
+    return true;
+  }
+
   void SampleLag(std::size_t prev_produced, std::size_t produced) {
     if (!LagSampler::ShouldSample(prev_produced, produced)) return;
     std::size_t min_pos = spl_->MinReaderPosition();
-    std::lock_guard<std::mutex> lock(close_mutex_);
-    lag_.Update(produced, min_pos);
+    std::lock_guard<std::mutex> lock(lag_->mutex);
+    lag_->sampler.Update(produced, min_pos);
   }
 
   SharingChannelOptions options_;
   std::shared_ptr<SharedPagesList> spl_;
-  mutable std::mutex close_mutex_;
-  LagSampler lag_;
-  bool closed_ = false;
+  std::shared_ptr<Lag> lag_ = std::make_shared<Lag>();
+  bool closed_ = false;  // guarded by lag_->mutex
 };
 
 }  // namespace

@@ -14,8 +14,10 @@
 //    the first emitted page — a late satellite would miss results.
 //  * pull (PullChannel): the paper's Shared Pages List. Pages are appended
 //    once and readers share references at their own pace; the attach
-//    window stays open for the host's whole production and pages are
-//    reclaimed once every reader has passed them. With an SpBudgetGovernor
+//    window stays open for the host's whole production — and, when the
+//    stage finishes the session (Finish), until a reader has read the
+//    result to its end — and pages are reclaimed once every reader has
+//    passed them. With an SpBudgetGovernor
 //    configured, retention beyond the engine-wide budget overflows to a
 //    spill file instead of RAM (bounded memory — see shared_pages_list.h,
 //    sp_budget_governor.h and DESIGN.md).
@@ -91,9 +93,16 @@ class SharingChannel : public PageSink {
   };
 
   /// Attaches a new consumer. Returns nullptr when the attach window has
-  /// closed (push: host already emitted; pull: producer closed) or the
-  /// host aborted.
+  /// closed (push: host already emitted; pull: producer closed, or
+  /// finished and read to its end) or the host aborted.
   virtual PageSourceRef AttachReader() = 0;
+
+  /// The host's end of production, as the stage delivers it: Close for a
+  /// push channel or a non-OK status. A pull session finished OK stays
+  /// attachable until a reader has read it to the end or every reader
+  /// has left, so its window does not hang on how fast the host
+  /// produced; on_close runs then.
+  virtual void Finish(Status final) { Close(std::move(final)); }
 
   virtual Stats GetStats() const = 0;
 
@@ -127,10 +136,13 @@ struct SharingChannelOptions {
   /// behavior).
   std::shared_ptr<SpBudgetGovernor> governor;
 
-  /// Invoked exactly once, after the producer's Close has propagated to
-  /// every reader. Receives the channel's closing stats (satellite count,
-  /// pages produced, lag) so the stage can feed its adaptive policy and
-  /// deregister the session. Called without channel locks held.
+  /// Invoked exactly once, when the session's attach window closes: after
+  /// Close has propagated to every reader, or for a pull session ended by
+  /// Finish, at its seal (possibly on a reader's thread, after the
+  /// channel is gone). Receives the channel's closing stats (satellite
+  /// count, pages produced, lag) so the stage can feed its adaptive
+  /// policy and deregister the session. Called without channel locks
+  /// held.
   std::function<void(const SharingChannel::Stats&)> on_close;
 
   /// Online cost measurement hooks (the adaptive cost model's EWMA feed;

@@ -126,6 +126,24 @@ class SatelliteRerunSource final : public PageSource {
   bool reran_ = false;  // consumer thread only
 };
 
+/// A host packet's output: its session's producer side. The end of
+/// production reaches the channel as Finish, so a pull session stays
+/// attachable until a reader has read it to the end.
+class SessionSink final : public PageSink {
+ public:
+  explicit SessionSink(SharingChannelRef channel)
+      : channel_(std::move(channel)) {}
+
+  bool PutBatch(std::vector<PageRef> pages) override {
+    return channel_->PutBatch(std::move(pages));
+  }
+
+  void Close(Status final) override { channel_->Finish(std::move(final)); }
+
+ private:
+  SharingChannelRef channel_;
+};
+
 }  // namespace
 
 Stage::Stage(std::string name, Options options, MetricsRegistry* metrics)
@@ -141,9 +159,14 @@ Stage::Stage(std::string name, Options options, MetricsRegistry* metrics)
       explain_name_(Trace::InternString(name_)),
       cost_model_(
           std::make_unique<SharingCostModel>(options.cost_model, metrics)),
+      close_guard_(std::make_shared<CloseGuard>(this)),
       pool_(options.initial_workers, options.max_workers) {}
 
-Stage::~Stage() { Shutdown(); }
+Stage::~Stage() {
+  Shutdown();
+  std::lock_guard<std::mutex> lock(close_guard_->mutex);
+  close_guard_->stage = nullptr;
+}
 
 void Stage::Shutdown() { pool_.Shutdown(); }
 
@@ -353,12 +376,16 @@ PageSourceRef Stage::SubmitFresh(PlanNodeRef node, ExecContextRef ctx,
   // session (a newer host may have replaced it under the same signature),
   // but the channel is constructed after the hook — bridge with a slot.
   auto self_slot = std::make_shared<std::weak_ptr<SharingChannel>>();
-  copts.on_close = [this, sig, self_slot](const SharingChannel::Stats& stats) {
-    RecordSessionClose(sig, stats);
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    auto it = channels_.find(sig);
-    if (it != channels_.end() && it->second == self_slot->lock()) {
-      channels_.erase(it);
+  copts.on_close = [guard = close_guard_, sig,
+                    self_slot](const SharingChannel::Stats& stats) {
+    std::lock_guard<std::mutex> guard_lock(guard->mutex);
+    Stage* stage = guard->stage;
+    if (stage == nullptr) return;
+    stage->RecordSessionClose(sig, stats);
+    std::lock_guard<std::mutex> lock(stage->registry_mutex_);
+    auto it = stage->channels_.find(sig);
+    if (it != stage->channels_.end() && it->second == self_slot->lock()) {
+      stage->channels_.erase(it);
     }
   };
 
@@ -375,8 +402,9 @@ PageSourceRef Stage::SubmitFresh(PlanNodeRef node, ExecContextRef ctx,
     std::lock_guard<std::mutex> lock(registry_mutex_);
     channels_[sig] = channel;
   }
-  Enqueue(std::move(node), std::move(ctx), channel, make_inputs, prepare,
-          record_work, explain_index);
+  Enqueue(std::move(node), std::move(ctx),
+          std::make_shared<SessionSink>(std::move(channel)), make_inputs,
+          prepare, record_work, explain_index);
   return host_reader;
 }
 

@@ -12,7 +12,9 @@
 //    its first page (a late satellite would miss results).
 //  * pull mode (SPL): the satellite attaches a reader to the host's
 //    SharedPagesList and reads the shared pages from the beginning; the
-//    attach window stays open for the host's entire production.
+//    attach window stays open for the host's entire production and
+//    after it, until a reader has read the result to its end
+//    (SharingChannel::Finish), so it does not shrink as scans get faster.
 //  * adaptive mode: the per-signature cost model (qpipe/cost_model.h)
 //    picks off/push/pull per packet. Its signature LRU decides *whether*
 //    a packet is worth considering for sharing at all (popularity); its
@@ -211,6 +213,17 @@ class Stage {
   /// switched to kAdaptive warm history); per-packet work timing only in
   /// adaptive mode (it costs a mutex + ring push per packet).
   std::unique_ptr<SharingCostModel> cost_model_;
+
+  /// A session's on_close may run on a reader's thread after the stage is
+  /// gone (a finished pull session closes when a reader reads it to its
+  /// end), so it reaches the stage through this guard, which ~Stage
+  /// clears.
+  struct CloseGuard {
+    explicit CloseGuard(Stage* s) : stage(s) {}
+    std::mutex mutex;
+    Stage* stage;  // guarded by mutex; null once the stage is destroyed
+  };
+  std::shared_ptr<CloseGuard> close_guard_;
 
   mutable std::mutex registry_mutex_;
   /// In-flight sharing sessions by plan signature, transport-agnostic.

@@ -19,9 +19,10 @@ void LogUnexpected(const char* stage, const Status& st) {
 
 void TscanStage::RunPacket(Packet& packet) {
   const auto& node = static_cast<const ScanNode&>(*packet.node);
-  SHARING_CHECK(packet.table != nullptr) << "scan packet lacks table binding";
-  Status st = RunScan(node, packet.table, packet.scan_group, packet.ctx.get(),
-                      packet.output.get());
+  SHARING_CHECK(packet.table != nullptr && packet.scan_group != nullptr)
+      << "scan packet lacks table binding";
+  Status st = RunScan(node, packet.table, *packet.scan_group,
+                      packet.ctx.get(), packet.output.get());
   LogUnexpected("TSCAN", st);
 }
 

@@ -88,6 +88,13 @@ Status CircularScanGroup::Ticket::FinalStatus() const {
 }
 
 void CircularScanGroup::Ticket::Cancel() {
+  {
+    std::lock_guard<std::mutex> lock(consumer_->mutex);
+    if (consumer_->closed || consumer_->remaining == 0) {
+      consumer_->queue.clear();
+      return;
+    }
+  }
   group_->Close(consumer_, Status::OK());
 }
 

@@ -126,13 +126,14 @@ class ScanCursor {
     if (riders_.empty()) return std::nullopt;
     const uint64_t seq = seq_++;
     pages_read_->Increment();
-    ReadAhead(seq);
     riders->clear();
+    uint64_t still_owed = 0;  // the most any rider is owed after this
     for (auto& entry : riders_) {
       riders->push_back(entry.rider);
-      --entry.owed;
+      still_owed = std::max(still_owed, --entry.owed);
     }
     std::erase_if(riders_, [](const Entry& e) { return e.owed == 0; });
+    ReadAhead(seq, still_owed);
     return seq;
   }
 
@@ -169,17 +170,20 @@ class ScanCursor {
   const Table* table() const { return table_; }
 
  private:
-  /// Queues kScanPrefetch jobs for the positions after `seq`, skipping
+  /// Queues kScanPrefetch jobs for the positions after `seq`, up to the
+  /// `owed` positions some rider will still claim (a read past every
+  /// rider's cycle would only evict a page someone needs), skipping
   /// resident pages and never holding more than prefetch_depth_ jobs
   /// outstanding: readahead that cannot keep up arrives too late to help,
   /// so skipped positions are simply future misses.
-  void ReadAhead(uint64_t seq) {
+  void ReadAhead(uint64_t seq, uint64_t owed) {
     if (scheduler_ == nullptr || prefetch_depth_ == 0) return;
     while (!tickets_.empty() && tickets_.front()->done()) {
       tickets_.pop_front();
     }
+    const uint64_t last = seq + std::min<uint64_t>(prefetch_depth_, owed);
     for (uint64_t s = std::max(seq, prefetched_until_) + 1;
-         s <= seq + prefetch_depth_ && tickets_.size() < prefetch_depth_;
+         s <= last && tickets_.size() < prefetch_depth_;
          prefetched_until_ = s++) {
       BufferPool* pool = table_->buffer_pool();
       const PageId pid = table_->page_id(s % table_->num_pages());
@@ -233,8 +237,8 @@ class CircularScanGroup {
   class Ticket;
 
   /// Attaches a scanner at the current cursor position; it will observe
-  /// exactly one full cycle of the table. Tickets must not outlive the
-  /// group.
+  /// exactly one full cycle of the table. A ticket still mid-cycle must
+  /// not outlive the group; one that finished or was closed may.
   std::unique_ptr<Ticket> Attach();
 
   const Table* table() const { return cursor_.table(); }
@@ -257,7 +261,9 @@ class CircularScanGroup {
     /// by one. Meaningful once Next() has returned nullptr.
     Status FinalStatus() const;
 
-    /// Detaches early; outstanding queued pages are released.
+    /// Detaches early; outstanding queued pages are released. A ticket
+    /// that finished its cycle or was closed only drops its queue: it is
+    /// no longer on the cursor, so the group is not touched.
     void Cancel();
 
    private:

@@ -46,7 +46,8 @@ class PipelineRunner {
         auto* scan = static_cast<const ScanNode*>(node.get());
         Table* table = db_->catalog()->GetTable(scan->table_name()).value();
         threads_.emplace_back([=] {
-          RunScan(*scan, table, nullptr, ctx, out.get());
+          CircularScanGroup group(table);
+          RunScan(*scan, table, group, ctx, out.get());
         });
         break;
       }
@@ -484,7 +485,8 @@ TEST_F(OperatorsTest, CancelledScanAborts) {
   ExecContext ctx;
   ctx.Cancel();
   FifoBuffer out;
-  Status st = RunScan(*scan, table, nullptr, &ctx, &out);
+  CircularScanGroup group(table);
+  Status st = RunScan(*scan, table, group, &ctx, &out);
   EXPECT_EQ(st.code(), StatusCode::kAborted);
   EXPECT_EQ(out.Next(), nullptr);
   EXPECT_EQ(out.FinalStatus().code(), StatusCode::kAborted);
@@ -497,7 +499,8 @@ TEST_F(OperatorsTest, AbandonedConsumerStopsProducer) {
   ExecContext ctx;
   auto out = std::make_shared<FifoBuffer>(2);
   out->CancelReader();
-  Status st = RunScan(*scan, table, nullptr, &ctx, out.get());
+  CircularScanGroup group(table);
+  Status st = RunScan(*scan, table, group, &ctx, out.get());
   EXPECT_EQ(st.code(), StatusCode::kAborted);
 }
 

@@ -16,7 +16,6 @@
 
 #include "qpipe/engine.h"
 #include "qpipe/sharing_channel.h"
-#include "storage/circular_scan.h"
 #include "storage/disk_manager.h"
 #include "test_util.h"
 
@@ -364,21 +363,12 @@ TEST_F(SpillEngineTest, AdaptivePrefersPullSpillWhenRetentionExceedsBudget) {
   ASSERT_TRUE(engine.Execute(ScanPlan()).ok());
 
   // Submits a host plus kSatellites twins, then drains them in order: the
-  // undrained satellites trail the producer by the whole result. A ticket
-  // held on the table's circular scan paces the host (a claimer waits on a
-  // rider whose queue is full), so the host cannot finish, and close its
-  // attach window, before every twin has attached.
-  CircularScanGroup* scan_group =
-      engine.ScanGroupFor(db_->catalog()->GetTable("wide").value());
+  // undrained satellites trail the producer by the whole result.
   auto run_session = [&] {
-    auto pacer = scan_group->Attach();
     std::vector<QueryHandle> handles;
     for (int i = 0; i <= kSatellites; ++i) {
       handles.push_back(engine.Submit(ScanPlan()));
     }
-    while (pacer->Next() != nullptr) {
-    }
-    EXPECT_TRUE(pacer->FinalStatus().ok());
     std::vector<ResultSet> results;
     for (auto& h : handles) {
       auto r = h.Collect();
