@@ -280,6 +280,61 @@ TEST(PullChannelTest, CloseSealsAttachWindow) {
       << "a closed session is deregistered; late queries must re-execute";
 }
 
+TEST(PullChannelTest, FinishedSessionStaysOpenUntilReadToTheEnd) {
+  MetricsRegistry metrics;
+  SharingChannelOptions options;
+  options.metrics = &metrics;
+  std::atomic<int> close_calls{0};
+  SharingChannel::Stats closing;
+  options.on_close = [&](const SharingChannel::Stats& stats) {
+    closing = stats;
+    close_calls.fetch_add(1);
+  };
+  auto channel = MakeSharingChannel(SpMode::kPull, std::move(options));
+  auto host = channel->AttachReader();
+  channel->Put(MakePage(1));
+  channel->Put(MakePage(2));
+  channel->Finish(Status::OK());
+
+  // The host finished before its twin arrived; nobody has read the end.
+  auto late = channel->AttachReader();
+  ASSERT_NE(late, nullptr) << "a finished session is open until read";
+  EXPECT_EQ(close_calls.load(), 0);
+  int late_count = 0;
+  while (late->Next()) ++late_count;
+  EXPECT_EQ(late_count, 2) << "the late twin reads the whole result";
+
+  // A reader saw end-of-stream: the window sealed before it returned.
+  EXPECT_EQ(channel->AttachReader(), nullptr);
+  EXPECT_EQ(close_calls.load(), 1);
+  EXPECT_EQ(closing.readers_attached, 2u);
+  EXPECT_FALSE(closing.attach_window_open);
+  int host_count = 0;
+  while (host->Next()) ++host_count;
+  EXPECT_EQ(host_count, 2);
+  EXPECT_EQ(close_calls.load(), 1);
+}
+
+TEST(PullChannelTest, FinishedSessionSealsWhenEveryReaderLeaves) {
+  MetricsRegistry metrics;
+  Gauge* retained = metrics.GetGauge(metrics::kSpPagesRetained);
+  SharingChannelOptions options;
+  options.metrics = &metrics;
+  std::atomic<int> close_calls{0};
+  options.on_close = [&](const SharingChannel::Stats&) {
+    close_calls.fetch_add(1);
+  };
+  auto channel = MakeSharingChannel(SpMode::kPull, std::move(options));
+  auto host = channel->AttachReader();
+  channel->Put(MakePage(1));
+  channel->Finish(Status::OK());
+  EXPECT_EQ(close_calls.load(), 0);
+  host->CancelConsumer();
+  EXPECT_EQ(close_calls.load(), 1);
+  EXPECT_EQ(channel->AttachReader(), nullptr);
+  EXPECT_EQ(retained->Get(), 0) << "an abandoned session keeps nothing";
+}
+
 // ---------------------------------------------------------------------------
 // Bounded memory: reference-counted SPL reclamation
 // ---------------------------------------------------------------------------
