@@ -18,6 +18,11 @@
 #      whose JSON cell names a BENCH_*.json, every such row must name an
 #      existing bench, and ci/verify.sh must run every bench: a bench is
 #      gated or recorded on every verify run, or it is gone.
+#   6. The query path has one stop-aware wait (WaitUnlessStopped in
+#      src/exec/exec_context.h): no other `wait_for(` or `wait_until(` in
+#      src/qpipe, src/exec, src/storage or src/cjoin, and no
+#      `BindStopCheck` anywhere under src, tests, bench, tools or
+#      examples.
 # The point: the documentation surface cannot silently rot as knobs,
 # metrics, examples and benches are added or removed.
 set -euo pipefail
@@ -180,6 +185,19 @@ while IFS='|' read -r name _; do
     fail=1
   fi
 done <<<"$bench_rows"
+
+# --- 6. one stop-aware wait -------------------------------------------------
+while IFS= read -r hit; do
+  [[ -z "$hit" ]] && continue
+  echo "docs-check: timed wait outside WaitUnlessStopped: $hit"
+  fail=1
+done < <(grep -rnE 'wait_(for|until)\(' src/qpipe src/exec src/storage src/cjoin |
+         grep -v '^src/exec/exec_context\.h:' || true)
+while IFS= read -r hit; do
+  [[ -z "$hit" ]] && continue
+  echo "docs-check: BindStopCheck is gone; pass the query's context to the reader: $hit"
+  fail=1
+done < <(grep -rn 'BindStopCheck' src tests bench tools examples || true)
 
 if [[ $fail -ne 0 ]]; then
   echo "docs-check: FAILED"

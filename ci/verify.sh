@@ -132,6 +132,13 @@ if [[ "${1:-}" != "--fast" ]]; then
   build-tsan/sharing_channel_test --gtest_filter='SplContentionTest.*' \
     --gtest_repeat=20
 
+  echo "=== query-stop wait, repeated under ThreadSanitizer ==="
+  # Parked SPL readers and blocked FIFO consumers observe a deadline or
+  # cancel through WaitUnlessStopped (DESIGN.md #23); repeat the suites
+  # that stop readers mid-park and race cancels against the park.
+  build-tsan/deadline_test --gtest_repeat=10
+  build-tsan/cancel_race_test --gtest_repeat=10
+
   echo "=== circular-scan claim protocol, repeated under ThreadSanitizer ==="
   # Both circular scans are driven by their consumers (DESIGN.md #22): a
   # QPipe ticket claims and fans out pages on its own thread, and the

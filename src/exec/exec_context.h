@@ -4,11 +4,15 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/metrics.h"
+#include "common/status.h"
 #include "common/trace.h"
 #include "exec/explain.h"
 
@@ -91,5 +95,28 @@ class ExecContext {
 };
 
 using ExecContextRef = std::shared_ptr<ExecContext>;
+
+/// How often a wait with a query context re-checks its stop.
+inline constexpr std::chrono::milliseconds kStopPollSlice{10};
+
+/// The query path's one stop-aware wait: blocks on `cv` under `lock`
+/// until `ready()`. With a context the wait runs in kStopPollSlice
+/// slices and checks StopRequested() before each one, so a deadline or
+/// cancel reaches a reader parked on an idle producer; a stop returns
+/// TerminalStatus(). A null context (a stream no query owns) waits
+/// untimed. OK once `ready()` holds.
+template <typename Ready>
+Status WaitUnlessStopped(ExecContext* ctx, std::condition_variable& cv,
+                         std::unique_lock<std::mutex>& lock, Ready ready) {
+  if (ctx == nullptr) {
+    cv.wait(lock, ready);
+    return Status::OK();
+  }
+  while (!ready()) {
+    if (ctx->StopRequested()) return ctx->TerminalStatus();
+    cv.wait_for(lock, kStopPollSlice);
+  }
+  return Status::OK();
+}
 
 }  // namespace sharing

@@ -5,10 +5,14 @@
 // both implement these interfaces, so operator code is agnostic to the
 // sharing mechanism wired around it. Transports move pages in runs
 // (NextBatch/PutBatch); the single-page Next/Put are built on them.
+//
+// A transport that blocks a reader is handed its query's ExecContext
+// when the reader is created and waits through WaitUnlessStopped
+// (exec/exec_context.h), so a deadline or cancel reaches a reader that
+// is already parked.
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -53,18 +57,6 @@ class PageSource {
   /// reclaim pages every reader has passed (bounded pull-SP memory).
   /// Sources that cannot track a position return 0.
   virtual std::size_t PagesDelivered() const { return 0; }
-
-  /// Binds an external stop probe (query deadline / watchdog cancel):
-  /// non-OK means the consumer must stop reading. Blocking sources poll
-  /// the probe in bounded wait slices instead of parking indefinitely,
-  /// and surface the probe's status through FinalStatus — the mechanism
-  /// that lets a deadline fire while the reader is parked on an idle
-  /// producer. Must be bound before the consumer's first read (the probe
-  /// itself must be lock-free/thread-safe). Default: ignored — sources
-  /// that never block (or are drained synchronously) need no probe.
-  virtual void BindStopCheck(std::function<Status()> stop_check) {
-    (void)stop_check;
-  }
 };
 
 class PageSink {

@@ -76,10 +76,6 @@ class BatchingSource final : public PageSource {
   /// which trails the wrapped reader's by the buffered remainder.
   std::size_t PagesDelivered() const override { return delivered_; }
 
-  void BindStopCheck(std::function<Status()> stop_check) override {
-    inner_->BindStopCheck(std::move(stop_check));
-  }
-
  private:
   PageSourceRef inner_;
   const std::size_t batch_;

@@ -5,17 +5,18 @@
 // buffer (pipeline backpressure); the consumer blocks on an empty one.
 // Either side can leave early: Close(status) seals the stream from the
 // producer side; CancelReader() tells the producer its consumer is gone
-// (PutBatch starts returning false).
+// (PutBatch starts returning false). A FIFO made with its query's
+// context stops a consumer blocked on an empty buffer when the query is
+// cancelled or runs out of time (WaitUnlessStopped).
 
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <mutex>
 
 #include "common/macros.h"
+#include "exec/exec_context.h"
 #include "exec/page_stream.h"
 
 namespace sharing {
@@ -24,8 +25,12 @@ class FifoBuffer final : public PageSource, public PageSink {
  public:
   static constexpr std::size_t kDefaultCapacity = 8;
 
-  explicit FifoBuffer(std::size_t capacity_pages = kDefaultCapacity)
-      : capacity_(capacity_pages == 0 ? 1 : capacity_pages) {}
+  /// `ctx` is the reading query's context; null for a stream no query
+  /// owns, whose consumer waits untimed.
+  explicit FifoBuffer(std::size_t capacity_pages = kDefaultCapacity,
+                      ExecContextRef ctx = nullptr)
+      : capacity_(capacity_pages == 0 ? 1 : capacity_pages),
+        ctx_(std::move(ctx)) {}
 
   SHARING_DISALLOW_COPY_AND_MOVE(FifoBuffer);
 
@@ -97,17 +102,6 @@ class FifoBuffer final : public PageSource, public PageSink {
 
   void CancelConsumer() override { CancelReader(); }
 
-  /// Stop probe (query deadline / watchdog cancel): a consumer blocked on
-  /// an empty buffer polls it in bounded wait slices instead of sleeping
-  /// until the producer puts, and on a non-OK probe abandons the stream
-  /// with that status sticky in FinalStatus (the producer's next put
-  /// returns false). Bind before the consumer's first read; the probe
-  /// must be lock-free.
-  void BindStopCheck(std::function<Status()> stop_check) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_check_ = std::move(stop_check);
-  }
-
   /// Consumer-side abandonment: wakes a blocked producer and makes all
   /// subsequent puts return false. Buffered pages are dropped.
   void CancelReader() {
@@ -131,30 +125,24 @@ class FifoBuffer final : public PageSource, public PageSink {
   }
 
  private:
-  /// Blocks until a page is buffered or the stream closes. With a stop
-  /// probe bound the wait runs in bounded slices polling it; a non-OK
-  /// probe latches `stopped_`, cancels the reader side (unblocking a
-  /// producer parked on a full buffer), and returns false.
+  /// Blocks until a page is buffered or the stream closes. When the
+  /// query stops first, latches its status in `stopped_`, cancels the
+  /// reader side (unblocking a producer parked on a full buffer), and
+  /// returns false.
   bool WaitNotEmptyLocked(std::unique_lock<std::mutex>& lock) {
-    if (!stop_check_) {
-      not_empty_.wait(lock, [&] { return !queue_.empty() || closed_; });
-      return true;
-    }
-    while (queue_.empty() && !closed_) {
-      const Status st = stop_check_();
-      if (!st.ok()) {
-        if (stopped_.ok()) stopped_ = st;
-        reader_cancelled_ = true;
-        queue_.clear();
-        not_full_.notify_all();
-        return false;
-      }
-      not_empty_.wait_for(lock, std::chrono::milliseconds(10));
-    }
-    return true;
+    Status st = WaitUnlessStopped(ctx_.get(), not_empty_, lock, [&] {
+      return !queue_.empty() || closed_;
+    });
+    if (st.ok()) return true;
+    if (stopped_.ok()) stopped_ = std::move(st);
+    reader_cancelled_ = true;
+    queue_.clear();
+    not_full_.notify_all();
+    return false;
   }
 
   const std::size_t capacity_;
+  const ExecContextRef ctx_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
@@ -163,12 +151,9 @@ class FifoBuffer final : public PageSource, public PageSink {
   bool closed_ = false;
   bool reader_cancelled_ = false;
   Status final_;
-  /// Stop-probe verdict, sticky once non-OK (see BindStopCheck). Guarded
-  /// by mutex_.
+  /// The query's stop status, sticky once non-OK (see
+  /// WaitNotEmptyLocked). Guarded by mutex_.
   Status stopped_;
-  /// External stop probe; written before the first read, called only
-  /// from the consumer's wait loop. Guarded by mutex_.
-  std::function<Status()> stop_check_;
 };
 
 }  // namespace sharing

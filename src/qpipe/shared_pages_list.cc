@@ -1,7 +1,6 @@
 #include "qpipe/shared_pages_list.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -191,13 +190,14 @@ void SharedPagesList::SealAtEnd() {
   if (hook) hook();
 }
 
-std::shared_ptr<SplReader> SharedPagesList::AttachReader() {
+std::shared_ptr<SplReader> SharedPagesList::AttachReader(ExecContextRef ctx) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (sealed_.load(std::memory_order_relaxed)) return nullptr;
   if (closed_.load(std::memory_order_relaxed) && !final_.ok()) return nullptr;
   auto state = std::make_shared<ReaderState>();
   auto reader =
-      std::shared_ptr<SplReader>(new SplReader(shared_from_this(), state));
+      std::shared_ptr<SplReader>(new SplReader(shared_from_this(), state,
+                                               std::move(ctx)));
   // Pre-seal, nothing has been reclaimed: the front segment still starts
   // at position 0, the new reader's cursor.
   reader->seg_ = segments_.front();
@@ -526,12 +526,12 @@ bool SplReader::ParkUntilReady() {
     __builtin_ia32_pause();
 #endif
   }
-  // Stop probe (deadline / watchdog cancel): checked before committing to
-  // the park and then once per bounded wait slice below — a reader parked
-  // on an idle producer observes its deadline within one slice instead of
-  // sleeping until a publication that may never come.
-  Status stop = stop_check_ ? stop_check_() : Status::OK();
-  if (!stop.ok()) return FailStopped(stop);
+  // The query's stop (deadline / watchdog cancel) is checked before
+  // committing to the park, so a reader stopped already is not counted
+  // as parked, and then once per wait slice below.
+  if (ctx_ != nullptr && ctx_->StopRequested()) {
+    return FailStopped(ctx_->TerminalStatus());
+  }
   list_->reader_parks_->Increment();
   // Span covers the futex wait only (the spin above is microseconds and
   // the common case records nothing).
@@ -546,22 +546,17 @@ bool SplReader::ParkUntilReady() {
                                     std::memory_order_relaxed);
   state_->parked.store(true, std::memory_order_seq_cst);
   list_->parked_count_.fetch_add(1, std::memory_order_seq_cst);
+  Status stop;
   {
+    // The stop check reads query-context atomics only, so it nests no
+    // lock under wait_mutex. error_ recording waits until wait_mutex is
+    // released — Cancel() notifies through it.
     std::unique_lock<std::mutex> lock(state_->wait_mutex);
-    while (!(state_->cancelled.load(std::memory_order_seq_cst) ||
+    stop = WaitUnlessStopped(ctx_.get(), state_->wait_cv, lock, [&] {
+      return state_->cancelled.load(std::memory_order_seq_cst) ||
              cursor_ < list_->published_.load(std::memory_order_seq_cst) ||
-             list_->closed_.load(std::memory_order_seq_cst))) {
-      if (!stop_check_) {
-        state_->wait_cv.wait(lock);
-        continue;
-      }
-      // The probe is lock-free (query-context atomics), so calling it
-      // under wait_mutex nests no lock. error_ recording waits until
-      // wait_mutex is released — Cancel() notifies through it.
-      stop = stop_check_();
-      if (!stop.ok()) break;
-      state_->wait_cv.wait_for(lock, std::chrono::milliseconds(10));
-    }
+             list_->closed_.load(std::memory_order_seq_cst);
+    });
   }
   state_->parked.store(false, std::memory_order_relaxed);
   state_->parked_since_micros.store(0, std::memory_order_relaxed);

@@ -36,7 +36,9 @@
 //    lock, and no per-reader futex sweep on the append path. Close wakes
 //    everyone directly (it happens once). The flag/published handshake
 //    is seq_cst on both sides (Dekker-style) so a seal/close racing a
-//    parking reader can never lose the wakeup.
+//    parking reader can never lose the wakeup. A reader attached with
+//    its query's context parks through WaitUnlessStopped, so the query's
+//    deadline or cancel unparks it within one poll slice.
 //  * Reader positions are atomic cursors registered in a small number of
 //    cache-line-padded shards: reclamation and `ShedForBudget` compute
 //    the min/max cursor by scanning shard-by-shard under per-shard spin
@@ -80,6 +82,7 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/spin_latch.h"
+#include "exec/exec_context.h"
 #include "exec/page_stream.h"
 #include "qpipe/sp_budget_governor.h"
 
@@ -151,8 +154,10 @@ class SharedPagesList
   /// the attach window is sealed or the list terminated with a non-OK
   /// status (no point sharing an aborted result). Thread-safe; may be
   /// called while the producer is appending (the widened pull-model
-  /// sharing window) or after it closed OK.
-  std::shared_ptr<SplReader> AttachReader();
+  /// sharing window) or after it closed OK. `ctx` is the reading query's
+  /// context, whose stop ends the reader's parks; null for a reader no
+  /// query owns, which parks untimed.
+  std::shared_ptr<SplReader> AttachReader(ExecContextRef ctx = nullptr);
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
@@ -490,19 +495,14 @@ class SplReader final : public PageSource {
   /// pages this reader was holding back become reclaimable.
   void Cancel();
 
-  /// Stop probe (query deadline / watchdog cancel): a parked reader polls
-  /// it in bounded wait slices instead of sleeping until the producer
-  /// publishes, and on a non-OK probe detaches with that status sticky in
-  /// FinalStatus. Bind before the consumer's first read.
-  void BindStopCheck(std::function<Status()> stop_check) override {
-    stop_check_ = std::move(stop_check);
-  }
-
  private:
   friend class SharedPagesList;
   SplReader(std::shared_ptr<SharedPagesList> list,
-            std::shared_ptr<SharedPagesList::ReaderState> state)
-      : list_(std::move(list)), state_(std::move(state)) {}
+            std::shared_ptr<SharedPagesList::ReaderState> state,
+            ExecContextRef ctx)
+      : list_(std::move(list)),
+        state_(std::move(state)),
+        ctx_(std::move(ctx)) {}
 
   /// Lock-free slot lookup: walks the segment chain from the reader's
   /// current segment (cursor positions are monotonic, so the walk only
@@ -524,28 +524,26 @@ class SplReader final : public PageSource {
   PageRef SlowResolve(std::size_t pos);
 
   /// Parks on the reader's own condvar until a page is published, the
-  /// list closes, or the reader is cancelled. With a stop probe bound the
-  /// wait runs in bounded slices polling it. Returns false iff cancelled
-  /// or stopped by the probe.
+  /// list closes, or the reader is cancelled; the query's stop ends the
+  /// park too. Returns false iff cancelled or stopped.
   bool ParkUntilReady();
 
-  /// The stop-probe exit: latches `st` into error_ (surfaced through
+  /// The query-stop exit: latches `st` into error_ (surfaced through
   /// FinalStatus) and detaches the reader. Always returns false.
   bool FailStopped(const Status& st);
 
   std::shared_ptr<SharedPagesList> list_;
   std::shared_ptr<SharedPagesList::ReaderState> state_;
+  /// The reading query's context (null: park untimed).
+  const ExecContextRef ctx_;
   /// The segment containing cursor_ (reader-local; see SlotFor).
   std::shared_ptr<SharedPagesList::Segment> seg_;
   /// Reader-local cursor mirror (state_->cursor is the published copy).
   std::size_t cursor_ = 0;
   std::size_t shard_index_ = 0;
-  /// Sticky fault-back (or stop-probe) failure; surfaced through
+  /// Sticky fault-back (or query-stop) failure; surfaced through
   /// FinalStatus. Guarded by the list mutex.
   Status error_;
-  /// External stop probe (see BindStopCheck). Written before the first
-  /// read, then only called from this reader's own thread.
-  std::function<Status()> stop_check_;
   /// In-flight readahead of the next spilled slot. Touched only by this
   /// reader's own reads/destructor (readers are single-consumer), so it
   /// needs no lock of its own.

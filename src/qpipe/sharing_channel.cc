@@ -69,10 +69,11 @@ class PushChannel final : public SharingChannel {
         pages_copied_(options_.metrics->GetCounter(metrics::kSpPagesCopied)),
         bytes_copied_(options_.metrics->GetCounter(metrics::kSpBytesCopied)) {}
 
-  PageSourceRef AttachReader() override {
+  PageSourceRef AttachReader(ExecContextRef ctx) override {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!window_open_ || closed_) return nullptr;
-    auto fifo = std::make_shared<FifoBuffer>(options_.fifo_capacity);
+    auto fifo =
+        std::make_shared<FifoBuffer>(options_.fifo_capacity, std::move(ctx));
     if (host_ == nullptr) host_ = fifo.get();  // first reader = host's own
     readers_.push_back(fifo);
     ++ever_attached_;
@@ -277,10 +278,12 @@ class PullChannel final : public SharingChannel {
     spl_->SetTraceIdentity(options_.query_id, options_.signature);
   }
 
-  PageSourceRef AttachReader() override {
-    if (options_.on_attach_cost == nullptr) return spl_->AttachReader();
+  PageSourceRef AttachReader(ExecContextRef ctx) override {
+    if (options_.on_attach_cost == nullptr) {
+      return spl_->AttachReader(std::move(ctx));
+    }
     const int64_t start = NowNanos();
-    auto reader = spl_->AttachReader();
+    auto reader = spl_->AttachReader(std::move(ctx));
     if (reader != nullptr) {
       options_.on_attach_cost(static_cast<double>(NowNanos() - start));
     }

@@ -32,6 +32,7 @@
 #include <memory>
 
 #include "common/metrics.h"
+#include "exec/exec_context.h"
 #include "exec/page_stream.h"
 #include "qpipe/fifo_buffer.h"
 #include "qpipe/shared_pages_list.h"
@@ -94,8 +95,11 @@ class SharingChannel : public PageSink {
 
   /// Attaches a new consumer. Returns nullptr when the attach window has
   /// closed (push: host already emitted; pull: producer closed, or
-  /// finished and read to its end) or the host aborted.
-  virtual PageSourceRef AttachReader() = 0;
+  /// finished and read to its end) or the host aborted. `ctx` is the
+  /// reading query's context: push hands it to the reader's FIFO, pull
+  /// to its SPL reader, and its stop ends a blocked read. Null for a
+  /// reader no query owns.
+  virtual PageSourceRef AttachReader(ExecContextRef ctx = nullptr) = 0;
 
   /// The host's end of production, as the stage delivers it: Close for a
   /// push channel or a non-OK status. A pull session finished OK stays

@@ -22,17 +22,6 @@ int64_t NowMicros() {
       .count();
 }
 
-/// The stop probe bound to every source a submission hands back: maps the
-/// query context's cancel/deadline state to the status a blocked reader
-/// must surface (DeadlineExceeded beats Aborted — see
-/// ExecContext::TerminalStatus). Lock-free; safe under a reader's wait
-/// mutex.
-std::function<Status()> MakeStopProbe(ExecContextRef ctx) {
-  return [ctx = std::move(ctx)] {
-    return ctx->StopRequested() ? ctx->TerminalStatus() : Status::OK();
-  };
-}
-
 /// Host-failure containment for satellites: a satellite performs no work
 /// of its own, so a host that dies (fault injection, disk error, cancel)
 /// poisons the channel and would fail every attached query with an error
@@ -78,12 +67,6 @@ class SatelliteRerunSource final : public PageSource {
     return delivered_.load(std::memory_order_relaxed);
   }
 
-  void BindStopCheck(std::function<Status()> stop_check) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_check_ = stop_check;
-    inner_->BindStopCheck(std::move(stop_check));
-  }
-
  private:
   PageSourceRef Inner() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -109,7 +92,6 @@ class SatelliteRerunSource final : public PageSource {
     PageSourceRef fresh = rerun_();
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (stop_check_) fresh->BindStopCheck(stop_check_);
       inner_ = std::move(fresh);
     }
     rerun_counter_->Increment();
@@ -121,7 +103,6 @@ class SatelliteRerunSource final : public PageSource {
   ExecContextRef ctx_;
   std::function<PageSourceRef()> rerun_;
   Counter* rerun_counter_;
-  std::function<Status()> stop_check_;  // guarded by mutex_
   std::atomic<std::size_t> delivered_{0};
   bool reran_ = false;  // consumer thread only
 };
@@ -289,7 +270,7 @@ PageSourceRef Stage::SubmitOrShare(PlanNodeRef node, ExecContextRef ctx,
     auto it = channels_.find(sig);
     if (it != channels_.end()) {
       const SpMode host_mode = it->second->mode();
-      if (PageSourceRef reader = it->second->AttachReader()) {
+      if (PageSourceRef reader = it->second->AttachReader(ctx)) {
         sp_hits_.fetch_add(1, std::memory_order_relaxed);
         sp_opportunities_->Increment();
         // Host-failure containment: a host abort poisons the channel, so
@@ -304,7 +285,6 @@ PageSourceRef Stage::SubmitOrShare(PlanNodeRef node, ExecContextRef ctx,
         };
         auto wrapped = std::make_shared<SatelliteRerunSource>(
             std::move(reader), ctx, std::move(rerun), satellite_reruns_);
-        wrapped->BindStopCheck(MakeStopProbe(ctx));
         // The free win: this query executes nothing at this stage. Its
         // explain record points at the satellite reader, whose delivered
         // pages all count as served-by-the-host.
@@ -344,8 +324,7 @@ PageSourceRef Stage::SubmitFresh(PlanNodeRef node, ExecContextRef ctx,
   rec.confidence = choice.confidence;
 
   if (choice.mode == SpMode::kOff) {
-    auto fifo = std::make_shared<FifoBuffer>(options_.fifo_capacity);
-    fifo->BindStopCheck(MakeStopProbe(ctx));
+    auto fifo = std::make_shared<FifoBuffer>(options_.fifo_capacity, ctx);
     rec.role = QueryExplain::StageRecord::Role::kUnshared;
     rec.source = fifo;
     const std::size_t explain_index = ctx->explain()->AddStage(std::move(rec));
@@ -391,9 +370,8 @@ PageSourceRef Stage::SubmitFresh(PlanNodeRef node, ExecContextRef ctx,
 
   SharingChannelRef channel = MakeSharingChannel(choice.mode, std::move(copts));
   *self_slot = channel;
-  PageSourceRef host_reader = channel->AttachReader();
+  PageSourceRef host_reader = channel->AttachReader(ctx);
   SHARING_CHECK(host_reader != nullptr);
-  host_reader->BindStopCheck(MakeStopProbe(ctx));
   rec.role = QueryExplain::StageRecord::Role::kHost;
   rec.transport = choice.mode == SpMode::kPush ? "push" : "pull";
   rec.source = host_reader;

@@ -52,14 +52,6 @@ class DeadlineTest : public ::testing::Test {
         std::vector<AggSpec>{AggSpec::Count("n")});
   }
 
-  /// A stop probe equivalent to the one Stage binds on every source.
-  static std::function<Status()> ProbeFor(
-      const std::shared_ptr<ExecContext>& ctx) {
-    return [ctx] {
-      return ctx->StopRequested() ? ctx->TerminalStatus() : Status::OK();
-    };
-  }
-
   std::unique_ptr<Database> db_;
   Table* table_ = nullptr;
 };
@@ -90,16 +82,14 @@ TEST_F(DeadlineTest, GenerousDeadlineDoesNotTrip) {
 TEST_F(DeadlineTest, ParkedSplReaderUnparksOnDeadline) {
   MetricsRegistry metrics;
   auto list = SharedPagesList::Create(&metrics);
-  auto reader = list->AttachReader();
-  ASSERT_NE(reader, nullptr);
-
   auto ctx = std::make_shared<ExecContext>(1, &metrics);
   ctx->ArmDeadline(Trace::NowMicros() + 60 * 1000, 60);
-  reader->BindStopCheck(ProbeFor(ctx));
+  auto reader = list->AttachReader(ctx);
+  ASSERT_NE(reader, nullptr);
 
   // The list is open and empty: without a deadline this Next would park
   // forever. The bounded wait slices must notice the expiry and fail
-  // the reader with the probe's status.
+  // the reader with the query's status.
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_EQ(reader->Next(), nullptr);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -111,10 +101,9 @@ TEST_F(DeadlineTest, ParkedSplReaderUnparksOnDeadline) {
 
 TEST_F(DeadlineTest, BlockedFifoConsumerUnblocksOnDeadline) {
   MetricsRegistry metrics;
-  FifoBuffer fifo(2);
   auto ctx = std::make_shared<ExecContext>(1, &metrics);
   ctx->ArmDeadline(Trace::NowMicros() + 60 * 1000, 60);
-  fifo.BindStopCheck(ProbeFor(ctx));
+  FifoBuffer fifo(2, ctx);
 
   EXPECT_EQ(fifo.Next(), nullptr);
   EXPECT_EQ(fifo.FinalStatus().code(), StatusCode::kDeadlineExceeded)

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/trace.h"
+#include "exec/exec_context.h"
 #include "qpipe/batch_pipe.h"
 #include "qpipe/sharing_channel.h"
 
@@ -199,6 +201,30 @@ TEST_P(SharingChannelTest, BatchedPutAndBatchedReadPreserveTheStream) {
   producer.join();
   for (auto& t : consumers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// A satellite whose query runs out of time while it waits detaches with
+// DeadlineExceeded; the host, which has no deadline, still reads the
+// session to its end.
+TEST_P(SharingChannelTest, ExpiredSatelliteLeavesItsHostUndisturbed) {
+  auto channel = MakeChannel();
+  auto host = channel->AttachReader();
+  auto ctx = std::make_shared<ExecContext>(1, &metrics_);
+  ctx->ArmDeadline(Trace::NowMicros() + 60 * 1000, 60);
+  auto satellite = channel->AttachReader(ctx);
+  ASSERT_NE(host, nullptr);
+  ASSERT_NE(satellite, nullptr);
+
+  EXPECT_EQ(satellite->Next(), nullptr);
+  EXPECT_EQ(satellite->FinalStatus().code(), StatusCode::kDeadlineExceeded);
+
+  channel->Put(MakePage(7));
+  channel->Close(Status::OK());
+  PageRef page = host->Next();
+  ASSERT_NE(page, nullptr);
+  EXPECT_EQ(FirstValue(page), 700);
+  EXPECT_EQ(host->Next(), nullptr);
+  EXPECT_TRUE(host->FinalStatus().ok()) << host->FinalStatus().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(PushAndPull, SharingChannelTest,
