@@ -441,6 +441,71 @@ TEST(WatchdogTest, ParkedReaderDegradesHealthThenRecovers) {
   EXPECT_TRUE(healthy) << "/healthz never recovered";
 }
 
+/// Pins the `/channels` wire format: every key of a channel and of a
+/// reader, in order, for one live push and one live pull session served
+/// through RegisterEngineEndpoints. Each session is left in a state
+/// whose every value is deterministic, so the whole body is compared.
+TEST(AdminServerTest, ChannelsJsonPinsEveryKeyInOrder) {
+  MetricsRegistry registry;
+  SharingChannelOptions copts;
+  copts.metrics = &registry;
+  SharingChannelRef push = MakeSharingChannel(SpMode::kPush, copts);
+  SharingChannelRef pull = MakeSharingChannel(SpMode::kPull, copts);
+  std::vector<PageSourceRef> readers;
+  for (const SharingChannelRef& channel : {push, pull}) {
+    readers.push_back(channel->AttachReader());
+    readers.push_back(channel->AttachReader());
+    ASSERT_NE(readers.back(), nullptr);
+    ASSERT_TRUE(channel->Put(MakeWatchdogPage()));
+    ASSERT_TRUE(channel->Put(MakeWatchdogPage()));
+  }
+  ASSERT_NE(readers[0]->Next(), nullptr);  // push host reads one page
+  ASSERT_NE(readers[2]->Next(), nullptr);  // pull host reads one page
+
+  EngineInspector inspector;
+  inspector.metrics = &registry;
+  inspector.channels = [&] {
+    std::vector<Stage::ChannelSnapshot> out;
+    out.push_back({"AGG", 0xa1, push->Introspect()});
+    out.push_back({"TSCAN", 0xb2, pull->Introspect()});
+    return out;
+  };
+  AdminServer::Options aopts;
+  aopts.port = 0;
+  AdminServer server(aopts);
+  RegisterEngineEndpoints(&server, inspector, nullptr);
+  ASSERT_TRUE(server.Start().ok());
+  auto r = AdminHttpGet(server.port(), "/channels");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().status, 200);
+  EXPECT_EQ(
+      r.value().body,
+      "{\"channels\":["
+      "{\"stage\":\"AGG\",\"signature\":\"0xa1\",\"mode\":\"push\","
+      "\"readers_attached\":2,\"readers_active\":2,\"pages_produced\":2,"
+      "\"max_consumer_lag\":0,\"attach_window_open\":false,"
+      "\"resident_pages\":0,\"spilled_pages\":0,\"reclaimed_pages\":0,"
+      "\"min_reader_position\":0,\"closed\":false,\"sealed\":false,"
+      "\"readers\":["
+      "{\"position\":1,\"lag\":1,\"parked\":false,\"parked_for_micros\":0,"
+      "\"cancelled\":false},"
+      "{\"position\":0,\"lag\":2,\"parked\":false,\"parked_for_micros\":0,"
+      "\"cancelled\":false}]},"
+      "{\"stage\":\"TSCAN\",\"signature\":\"0xb2\",\"mode\":\"pull\","
+      "\"readers_attached\":2,\"readers_active\":2,\"pages_produced\":2,"
+      "\"max_consumer_lag\":0,\"attach_window_open\":true,"
+      "\"resident_pages\":2,\"spilled_pages\":0,\"reclaimed_pages\":0,"
+      "\"min_reader_position\":0,\"closed\":false,\"sealed\":false,"
+      "\"readers\":["
+      "{\"position\":1,\"lag\":1,\"parked\":false,\"parked_for_micros\":0,"
+      "\"cancelled\":false},"
+      "{\"position\":0,\"lag\":2,\"parked\":false,\"parked_for_micros\":0,"
+      "\"cancelled\":false}]}]}");
+  for (const SharingChannelRef& channel : {push, pull}) {
+    channel->Close(Status::OK());
+  }
+}
+
 /// False-positive guard: a healthy engine under real load must stay
 /// healthy through many watchdog ticks at default-shaped thresholds.
 TEST(WatchdogTest, HealthyLoadStaysHealthy) {
