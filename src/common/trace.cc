@@ -9,6 +9,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/json.h"
+
 namespace sharing {
 
 std::atomic<bool> Trace::enabled_{false};
@@ -163,34 +165,6 @@ ThreadBuffer* GetThreadBuffer() {
     reg.buffers.push_back(slot.buffer);
   }
   return slot.buffer.get();
-}
-
-void AppendJsonEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 }  // namespace

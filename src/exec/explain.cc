@@ -3,7 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
-#include <string_view>
+
+#include "common/json.h"
 
 namespace sharing {
 
@@ -13,13 +14,6 @@ int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
 }
 
 }  // namespace
@@ -49,7 +43,7 @@ std::string QueryExplain::ToJson() const {
     if (!first) out += ",";
     first = false;
     out += "{\"stage\":\"";
-    AppendEscaped(&out, rec.stage);
+    AppendJsonEscaped(&out, rec.stage);
     std::snprintf(buf, sizeof(buf), "\",\"signature\":\"0x%llx\",\"role\":\"%s\"",
                   static_cast<unsigned long long>(rec.signature),
                   ExplainRoleToString(rec.role));

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "common/fault.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/metrics_format.h"
 #include "common/trace.h"
@@ -347,7 +348,7 @@ void AppendField(std::string* out, const char* key, const std::string& value,
                  bool* first) {
   AppendJsonKey(out, key, first);
   *out += '"';
-  *out += value;  // stage names / modes: [a-z_]; nothing to escape
+  AppendJsonEscaped(out, value);
   *out += '"';
 }
 
@@ -486,10 +487,7 @@ void AppendEscapedArray(std::string* out, const std::vector<std::string>& items)
     if (!first) *out += ',';
     first = false;
     *out += '"';
-    for (char c : item) {
-      if (c == '"' || c == '\\') *out += '\\';
-      *out += c;
-    }
+    AppendJsonEscaped(out, item);
     *out += '"';
   }
   *out += ']';

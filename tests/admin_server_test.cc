@@ -506,6 +506,35 @@ TEST(AdminServerTest, ChannelsJsonPinsEveryKeyInOrder) {
   }
 }
 
+/// The spill-store error in a /healthz detail quotes user configuration
+/// (the spill path), so it must come out as valid JSON whatever it holds.
+TEST(WatchdogTest, HealthzEscapesControlCharactersInDetails) {
+  MetricsRegistry registry;
+  EngineInspector inspector;
+  inspector.metrics = &registry;
+  inspector.spill_health = [] {
+    return Status::IoError("cannot open \"/tmp/sp\nspill\"");
+  };
+  Watchdog::Options wopts;
+  wopts.period_ms = 0;  // no thread: TickNow drives the verdict
+  Watchdog watchdog(wopts, inspector);
+  watchdog.TickNow();
+
+  AdminServer::Options aopts;
+  aopts.port = 0;
+  AdminServer server(aopts);
+  RegisterEngineEndpoints(&server, inspector, &watchdog);
+  ASSERT_TRUE(server.Start().ok());
+  auto r = AdminHttpGet(server.port(), "/healthz");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().status, 200);
+  const std::string& body = r.value().body;
+  EXPECT_NE(body.find("cannot open \\\"/tmp/sp\\nspill\\\""),
+            std::string::npos)
+      << body;
+  EXPECT_EQ(body.find('\n'), std::string::npos) << body;
+}
+
 /// False-positive guard: a healthy engine under real load must stay
 /// healthy through many watchdog ticks at default-shaped thresholds.
 TEST(WatchdogTest, HealthyLoadStaysHealthy) {
