@@ -23,6 +23,11 @@
 #      src/qpipe, src/exec, src/storage or src/cjoin, and no
 #      `BindStopCheck` anywhere under src, tests, bench, tools or
 #      examples.
+#   7. A sharing session has one view (SessionView in
+#      src/qpipe/shared_pages_list.h): none of `GetDeepSnapshot`,
+#      `GetSnapshot(`, `SharingChannel::Stats`, `ReaderIntrospection` or
+#      `StatsOf` under src, tests, bench, tools or examples, and one
+#      reader view (one `int64_t parked_for_micros` field) under src.
 # The point: the documentation surface cannot silently rot as knobs,
 # metrics, examples and benches are added or removed.
 set -euo pipefail
@@ -198,6 +203,21 @@ while IFS= read -r hit; do
   echo "docs-check: BindStopCheck is gone; pass the query's context to the reader: $hit"
   fail=1
 done < <(grep -rn 'BindStopCheck' src tests bench tools examples || true)
+
+# --- 7. one view of a sharing session --------------------------------------
+while IFS= read -r hit; do
+  [[ -z "$hit" ]] && continue
+  echo "docs-check: a sharing session has one view; read SessionView through Introspect(): $hit"
+  fail=1
+done < <(grep -rnE 'GetDeepSnapshot|GetSnapshot\(|SharingChannel::Stats|ReaderIntrospection|StatsOf' \
+           src tests bench tools examples || true)
+reader_views=$(grep -rnE '^[[:space:]]*(std::)?int64_t[[:space:]]+parked_for_micros\b' src || true)
+if [[ $(grep -c . <<<"$reader_views" || true) -gt 1 ]]; then
+  while IFS= read -r hit; do
+    echo "docs-check: more than one reader view; SessionView::Reader is the one: $hit"
+  done <<<"$reader_views"
+  fail=1
+fi
 
 if [[ $fail -ne 0 ]]; then
   echo "docs-check: FAILED"

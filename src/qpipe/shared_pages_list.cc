@@ -212,7 +212,7 @@ std::shared_ptr<SplReader> SharedPagesList::AttachReader(ExecContextRef ctx) {
   return reader;
 }
 
-std::size_t SharedPagesList::MinReaderPositionShards() const {
+std::size_t SharedPagesList::MinReaderPosition() const {
   std::size_t min_pos = std::numeric_limits<std::size_t>::max();
   bool any = false;
   for (const ReaderShard& shard : shards_) {
@@ -233,7 +233,7 @@ std::size_t SharedPagesList::MinReaderPositionShards() const {
   return any ? min_pos : published_.load(std::memory_order_acquire);
 }
 
-std::size_t SharedPagesList::MaxReaderPositionShards() const {
+std::size_t SharedPagesList::MaxReaderPosition() const {
   std::size_t max_pos = 0;
   for (const ReaderShard& shard : shards_) {
     SpinLatchGuard guard(shard.latch);
@@ -246,33 +246,18 @@ std::size_t SharedPagesList::MaxReaderPositionShards() const {
   return max_pos;
 }
 
-std::size_t SharedPagesList::MinReaderPosition() const {
-  return MinReaderPositionShards();
-}
-
-SharedPagesList::Snapshot SharedPagesList::GetSnapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot snap;
-  snap.ever_attached = ever_attached_;
-  snap.active_readers = active_readers_.load(std::memory_order_relaxed);
-  snap.total_appended = published_.load(std::memory_order_relaxed);
-  snap.min_reader_position = MinReaderPositionShards();
-  snap.closed = closed_.load(std::memory_order_relaxed);
-  snap.sealed = sealed_.load(std::memory_order_relaxed);
-  return snap;
-}
-
-SharedPagesList::DeepSnapshot SharedPagesList::GetDeepSnapshot() const {
-  DeepSnapshot snap;
+SessionView SharedPagesList::View() const {
+  SessionView view;
   const int64_t now = Trace::NowMicros();
   // Reader walk first, outside the list mutex: only the per-shard spin
   // latches attach/detach already take. Parked-flag and since-stamp are
   // two relaxed loads — a reader unparking mid-walk can yield a stale
   // pairing, which is fine for an advisory surface.
+  bool any_active = false;
   for (const ReaderShard& shard : shards_) {
     SpinLatchGuard guard(shard.latch);
     for (const auto& reader : shard.readers) {
-      ReaderIntrospection info;
+      SessionView::Reader info;
       info.position = reader->cursor.load(std::memory_order_acquire);
       info.cancelled = reader->cancelled.load(std::memory_order_acquire);
       info.parked = reader->parked.load(std::memory_order_acquire);
@@ -281,25 +266,30 @@ SharedPagesList::DeepSnapshot SharedPagesList::GetDeepSnapshot() const {
       if (info.parked && since > 0 && now > since) {
         info.parked_for_micros = now - since;
       }
-      snap.readers.push_back(info);
+      if (!info.cancelled) {
+        view.min_reader_position =
+            any_active ? std::min(view.min_reader_position, info.position)
+                       : info.position;
+        any_active = true;
+      }
+      view.readers.push_back(info);
     }
   }
-  snap.min_reader_position = MinReaderPositionShards();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    snap.published = published_.load(std::memory_order_relaxed);
-    snap.reclaimed = base_;
-    snap.retained = snap.published > base_ ? snap.published - base_ : 0;
-    snap.resident_pages = in_memory_;
-    snap.spilled_pages = snap.retained > in_memory_
-                             ? snap.retained - in_memory_
-                             : 0;
-    snap.ever_attached = ever_attached_;
-    snap.active_readers = active_readers_.load(std::memory_order_relaxed);
-    snap.closed = closed_.load(std::memory_order_relaxed);
-    snap.sealed = sealed_.load(std::memory_order_relaxed);
-  }
-  return snap;
+  std::lock_guard<std::mutex> lock(mutex_);
+  view.published = published_.load(std::memory_order_relaxed);
+  if (!any_active) view.min_reader_position = view.published;
+  view.reclaimed = base_;
+  const std::size_t retained =
+      view.published > base_ ? view.published - base_ : 0;
+  view.resident_pages = in_memory_;
+  view.spilled_pages = retained > in_memory_ ? retained - in_memory_ : 0;
+  view.ever_attached = ever_attached_;
+  view.active_readers = active_readers_.load(std::memory_order_relaxed);
+  view.closed = closed_.load(std::memory_order_relaxed);
+  view.sealed = sealed_.load(std::memory_order_relaxed);
+  // AttachReader's own test.
+  view.attach_window_open = !view.sealed && (!view.closed || final_.ok());
+  return view;
 }
 
 void SharedPagesList::MaybeReclaimLocked() {
@@ -313,7 +303,7 @@ void SharedPagesList::MaybeReclaimLocked() {
   // observes the reader's advanced cursor, so the page cannot be
   // stranded between a probe that skipped and a scan that missed.
   for (;;) {
-    const std::size_t min_pos = MinReaderPositionShards();
+    const std::size_t min_pos = MinReaderPosition();
     if (base_ >= min_pos) return;
     int64_t freed = 0;
     int64_t freed_resident = 0;
@@ -376,8 +366,8 @@ std::size_t SharedPagesList::ShedForBudget(std::size_t max_pages,
       // drained tier — not a last-resort unread tail.
       drained_end = consumed_end = end;
     } else {
-      consumed_end = std::clamp(MaxReaderPositionShards(), base_, end);
-      drained_end = std::clamp(MinReaderPositionShards(), base_, consumed_end);
+      consumed_end = std::clamp(MaxReaderPosition(), base_, end);
+      drained_end = std::clamp(MinReaderPosition(), base_, consumed_end);
     }
     auto collect = [&](std::size_t lo, std::size_t hi) {
       for (std::size_t pos = hi; pos-- > lo && victims.size() < max_pages;) {

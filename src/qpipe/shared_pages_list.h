@@ -85,6 +85,7 @@
 #include "exec/exec_context.h"
 #include "exec/page_stream.h"
 #include "qpipe/sp_budget_governor.h"
+#include "qpipe/sp_mode.h"
 
 namespace sharing {
 
@@ -98,6 +99,49 @@ enum class SpillTier {
   kDrained,   // only pages every reader has passed
   kConsumed,  // + pages the fastest reader consumed (laggard still needs)
   kUnread,    // + the unread tail (hard-bound last resort)
+};
+
+/// One sharing session as its observers see it: the stage's cost model
+/// (once, when the session closes), and `/channels` and the watchdog
+/// (while it is live). It is the only description of a session, for
+/// both transports: the SPL fills it for a pull session
+/// (SharedPagesList::View), a push channel fills it under its own
+/// mutex, and the channel adds `mode` and `max_consumer_lag`.
+struct SessionView {
+  /// One reader's observable state.
+  struct Reader {
+    /// Pages this reader has consumed.
+    std::size_t position = 0;
+    /// Pull readers only: currently parked waiting for publication, and
+    /// for how long (0 otherwise; advisory, written relaxed on the park
+    /// slow path). Push FIFOs block inside pop and expose no flag.
+    bool parked = false;
+    int64_t parked_for_micros = 0;
+    bool cancelled = false;
+  };
+
+  SpMode mode = SpMode::kOff;
+  std::size_t published = 0;       // pages ever produced
+  std::size_t reclaimed = 0;       // pull: pages freed behind every reader
+  std::size_t resident_pages = 0;  // pull: retained and memory-resident
+  std::size_t spilled_pages = 0;   // pull: retained and spilled
+  std::size_t ever_attached = 0;   // including the host's own reader
+  std::size_t active_readers = 0;
+  /// The slowest active reader's position. With no active reader: pull
+  /// reports `published`, push 0.
+  std::size_t min_reader_position = 0;
+  /// Largest (published - slowest reader position) sampled *during
+  /// production*. Sampling at put time measures consumer slowness while
+  /// the producer still runs — the signal the adaptive cost model wants
+  /// — rather than the undrained queue a close-time sample would show.
+  std::size_t max_consumer_lag = 0;
+  /// AttachReader would succeed now.
+  bool attach_window_open = false;
+  /// The producer has ended (Close or Finish).
+  bool closed = false;
+  /// Pull only: no reader can attach any more, so reclamation runs.
+  bool sealed = false;
+  std::vector<Reader> readers;
 };
 
 class SharedPagesList
@@ -190,18 +234,10 @@ class SharedPagesList
     return published_.load(std::memory_order_acquire);
   }
 
-  std::size_t ActiveReaders() const {
-    return active_readers_.load(std::memory_order_acquire);
-  }
-
-  std::size_t EverAttached() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return ever_attached_;
-  }
-
   /// Smallest position (pages consumed) across active readers; equals
   /// TotalAppended() when no reader is active. Computed from the sharded
-  /// atomic cursors — takes no list lock.
+  /// atomic cursors under per-shard latches only, so callable with or
+  /// without the list mutex.
   std::size_t MinReaderPosition() const;
 
   /// Governor callback: migrates up to `max_pages` resident pages no
@@ -217,50 +253,13 @@ class SharedPagesList
   /// chain.
   std::size_t ShedForBudget(std::size_t max_pages, SpillTier tier);
 
-  /// A mutually consistent view of the list, taken under one lock.
-  struct Snapshot {
-    std::size_t ever_attached = 0;
-    std::size_t active_readers = 0;
-    std::size_t total_appended = 0;
-    std::size_t min_reader_position = 0;
-    bool closed = false;
-    bool sealed = false;
-  };
-  Snapshot GetSnapshot() const;
-
-  /// One reader's observable state, read from the sharded atomic
-  /// cursors and parking flags (the introspection path adds NO hot-path
-  /// synchronization — see DeepSnapshot).
-  struct ReaderIntrospection {
-    std::size_t position = 0;
-    bool parked = false;
-    /// How long the reader has currently been parked (0 when not
-    /// parked). Advisory: written relaxed on the park slow path.
-    int64_t parked_for_micros = 0;
-    bool cancelled = false;
-  };
-
-  /// The admin server's deep view: retention split into resident vs
-  /// spilled, the publication/reclamation frontiers, and every
-  /// registered reader's cursor/lag/parked state. Rides the existing
-  /// synchronization only — the list mutex for the resident count (a
-  /// slow-path lock appends already take), per-shard spin latches for
-  /// the reader walk, and the atomic frontiers for everything else.
-  /// Never taken on the producer/reader fast paths.
-  struct DeepSnapshot {
-    std::size_t published = 0;       // pages ever appended
-    std::size_t reclaimed = 0;       // pages freed behind every reader
-    std::size_t retained = 0;        // published - reclaimed
-    std::size_t resident_pages = 0;  // retained and memory-resident
-    std::size_t spilled_pages = 0;   // retained - resident
-    std::size_t ever_attached = 0;
-    std::size_t active_readers = 0;
-    std::size_t min_reader_position = 0;
-    bool closed = false;
-    bool sealed = false;
-    std::vector<ReaderIntrospection> readers;
-  };
-  DeepSnapshot GetDeepSnapshot() const;
+  /// The session view of this list: everything but `mode` and
+  /// `max_consumer_lag`, which the owning channel adds. Rides the
+  /// existing synchronization only: per-shard spin latches for the
+  /// reader walk (cursors and parking flags are atomics), then the list
+  /// mutex for the frontiers and the resident count. Never taken on the
+  /// producer/reader fast paths.
+  SessionView View() const;
 
  private:
   friend class SplReader;
@@ -324,7 +323,7 @@ class SharedPagesList
     std::atomic<bool> parked{false};
     /// Trace-timebase micros when the current park began (0 when not
     /// parked). Advisory introspection only — written relaxed inside
-    /// the already-slow park path, read by GetDeepSnapshot and the
+    /// the already-slow park path, read by View() and the
     /// watchdog's parked-reader stall detector.
     std::atomic<int64_t> parked_since_micros{0};
     std::mutex wait_mutex;
@@ -366,10 +365,9 @@ class SharedPagesList
            (ever_attached_ > 0 || sealed_.load(std::memory_order_relaxed));
   }
 
-  /// Min/max over the sharded atomic reader cursors (per-shard latches
-  /// only; callable with or without mutex_).
-  std::size_t MinReaderPositionShards() const;
-  std::size_t MaxReaderPositionShards() const;
+  /// Largest position across active readers (per-shard latches only;
+  /// callable with or without mutex_).
+  std::size_t MaxReaderPosition() const;
 
   /// Notifies every parked reader (each on its own condvar) — the close
   /// path. Called with NO list lock held, after the predicate change

@@ -134,54 +134,22 @@ class PushChannel final : public SharingChannel {
 
   void Close(Status final) override {
     std::vector<std::shared_ptr<FifoBuffer>> readers;
-    Stats closing;
+    SessionView closing;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_) return;
       closed_ = true;
       window_open_ = false;
+      closing = ViewLocked();
       readers.swap(readers_);
-      closing.readers_attached = ever_attached_;
-      closing.readers_active = readers.size();
-      closing.pages_produced = pages_produced_;
-      closing.max_consumer_lag = lag_.max;
     }
     for (const auto& reader : readers) reader->Close(final);
     if (options_.on_close) options_.on_close(closing);
   }
 
-  Stats GetStats() const override {
+  SessionView Introspect() const override {
     std::lock_guard<std::mutex> lock(mutex_);
-    Stats stats;
-    stats.readers_attached = ever_attached_;
-    stats.pages_produced = pages_produced_;
-    stats.attach_window_open = window_open_ && !closed_;
-    stats.readers_active = readers_.size();
-    stats.max_consumer_lag = lag_.max;
-    return stats;
-  }
-
-  Introspection Introspect() const override {
-    Introspection out;
-    out.mode = SpMode::kPush;
-    std::lock_guard<std::mutex> lock(mutex_);
-    out.stats.readers_attached = ever_attached_;
-    out.stats.pages_produced = pages_produced_;
-    out.stats.attach_window_open = window_open_ && !closed_;
-    out.stats.readers_active = readers_.size();
-    out.stats.max_consumer_lag = lag_.max;
-    out.published = pages_produced_;
-    out.closed = closed_;
-    out.min_reader_position = pages_produced_;
-    for (const auto& reader : readers_) {
-      ReaderIntrospection info;
-      info.position = reader->PagesDelivered();
-      out.min_reader_position = std::min(out.min_reader_position,
-                                         info.position);
-      out.readers.push_back(info);
-    }
-    if (readers_.empty()) out.min_reader_position = 0;
-    return out;
+    return ViewLocked();
   }
 
   SpMode mode() const override { return SpMode::kPush; }
@@ -209,6 +177,28 @@ class PushChannel final : public SharingChannel {
     pages_copied_->Increment();
     bytes_copied_->Add(static_cast<int64_t>(page.data_bytes()));
     return copy;
+  }
+
+  /// The session view. Requires mutex_ held; reads each FIFO's delivery
+  /// count under its own lock (channel mutex before FIFO mutex).
+  SessionView ViewLocked() const {
+    SessionView view;
+    view.mode = SpMode::kPush;
+    view.published = pages_produced_;
+    view.ever_attached = ever_attached_;
+    view.active_readers = readers_.size();
+    view.max_consumer_lag = lag_.max;
+    view.attach_window_open = window_open_ && !closed_;
+    view.closed = closed_;
+    view.min_reader_position = readers_.empty() ? 0 : pages_produced_;
+    for (const auto& reader : readers_) {
+      SessionView::Reader info;
+      info.position = reader->PagesDelivered();
+      view.min_reader_position =
+          std::min(view.min_reader_position, info.position);
+      view.readers.push_back(info);
+    }
+    return view;
   }
 
   /// PutBatch epilogue: prune readers that reported a dead
@@ -314,7 +304,7 @@ class PullChannel final : public SharingChannel {
     // the stale cached result through the closing race.
     spl_->SealAttachWindow();
     spl_->Close(std::move(final));
-    if (options_.on_close) options_.on_close(GetStats());
+    if (options_.on_close) options_.on_close(Introspect());
   }
 
   void Finish(Status final) override {
@@ -327,46 +317,15 @@ class PullChannel final : public SharingChannel {
     // so the closing race above cannot happen; until then a twin that
     // arrives after a fast host finished still shares the result. The
     // seal may run on a reader's thread after this channel is gone, so
-    // the hook holds only what the stats need.
+    // the hook holds only what the view needs.
     spl_->Finish([spl = std::weak_ptr<SharedPagesList>(spl_), lag = lag_,
                   on_close = options_.on_close] {
       auto list = spl.lock();
-      if (list != nullptr && on_close) on_close(StatsOf(*list, *lag));
+      if (list != nullptr && on_close) on_close(ViewOf(*list, *lag));
     });
   }
 
-  Stats GetStats() const override { return StatsOf(*spl_, *lag_); }
-
-  Introspection Introspect() const override {
-    SharedPagesList::DeepSnapshot deep = spl_->GetDeepSnapshot();
-    Introspection out;
-    out.mode = SpMode::kPull;
-    out.stats.readers_attached = deep.ever_attached;
-    out.stats.readers_active = deep.active_readers;
-    out.stats.pages_produced = deep.published;
-    out.stats.attach_window_open = !deep.sealed && !deep.closed;
-    out.published = deep.published;
-    out.resident_pages = deep.resident_pages;
-    out.spilled_pages = deep.spilled_pages;
-    out.reclaimed_pages = deep.reclaimed;
-    out.min_reader_position = deep.min_reader_position;
-    out.closed = deep.closed;
-    out.sealed = deep.sealed;
-    out.readers.reserve(deep.readers.size());
-    for (const auto& r : deep.readers) {
-      ReaderIntrospection info;
-      info.position = r.position;
-      info.parked = r.parked;
-      info.parked_for_micros = r.parked_for_micros;
-      info.cancelled = r.cancelled;
-      out.readers.push_back(info);
-    }
-    {
-      std::lock_guard<std::mutex> lock(lag_->mutex);
-      out.stats.max_consumer_lag = lag_->sampler.max;
-    }
-    return out;
-  }
+  SessionView Introspect() const override { return ViewOf(*spl_, *lag_); }
 
   SpMode mode() const override { return SpMode::kPull; }
 
@@ -377,16 +336,13 @@ class PullChannel final : public SharingChannel {
     LagSampler sampler;
   };
 
-  static Stats StatsOf(const SharedPagesList& spl, Lag& lag) {
-    SharedPagesList::Snapshot snap = spl.GetSnapshot();
-    Stats stats;
-    stats.readers_attached = snap.ever_attached;
-    stats.readers_active = snap.active_readers;
-    stats.pages_produced = snap.total_appended;
-    stats.attach_window_open = !snap.sealed;
+  /// The SPL's view plus the channel's mode and production-time lag.
+  static SessionView ViewOf(const SharedPagesList& spl, Lag& lag) {
+    SessionView view = spl.View();
+    view.mode = SpMode::kPull;
     std::lock_guard<std::mutex> lock(lag.mutex);
-    stats.max_consumer_lag = lag.sampler.max;
-    return stats;
+    view.max_consumer_lag = lag.sampler.max;
+    return view;
   }
 
   /// True for the first Close/Finish only.

@@ -43,56 +43,6 @@ namespace sharing {
 
 class SharingChannel : public PageSink {
  public:
-  /// Live statistics used by the adaptive admission policy and surfaced to
-  /// the on_close hook when the producer finishes.
-  struct Stats {
-    std::size_t readers_attached = 0;  // ever, including the host's own
-    std::size_t readers_active = 0;
-    std::size_t pages_produced = 0;
-    /// Largest (pages produced - slowest reader position) sampled *during
-    /// production*. Sampling at put time measures consumer slowness while
-    /// the producer is still running — the signal the adaptive policy
-    /// wants — rather than the undrained queue depth a close-time sample
-    /// would report for any non-trivial result.
-    std::size_t max_consumer_lag = 0;
-    bool attach_window_open = false;
-  };
-
-  /// One consumer's observable state within the channel.
-  struct ReaderIntrospection {
-    /// Pages this reader has consumed.
-    std::size_t position = 0;
-    /// Pull readers only: currently blocked waiting for publication,
-    /// and for how long (0 otherwise). Push FIFOs block inside pop and
-    /// do not expose a parking flag.
-    bool parked = false;
-    int64_t parked_for_micros = 0;
-    bool cancelled = false;
-  };
-
-  /// The admin server's deep view of one live sharing session: the
-  /// summary Stats plus per-reader cursors and — for pull channels —
-  /// the SPL's resident-vs-spilled retention split and frontiers.
-  /// Implementations ride their existing synchronization (channel
-  /// mutex / SPL shard latches + atomics); never called on a hot path.
-  struct Introspection {
-    SpMode mode = SpMode::kOff;
-    Stats stats;
-    /// Pages ever published (== stats.pages_produced).
-    std::size_t published = 0;
-    /// Retained pages split by tier (pull channels; push channels keep
-    /// no history, both stay 0).
-    std::size_t resident_pages = 0;
-    std::size_t spilled_pages = 0;
-    /// Pages reclaimed behind every reader (pull only).
-    std::size_t reclaimed_pages = 0;
-    std::size_t min_reader_position = 0;
-    bool closed = false;
-    /// Pull only: attach window sealed (no future satellite).
-    bool sealed = false;
-    std::vector<ReaderIntrospection> readers;
-  };
-
   /// Attaches a new consumer. Returns nullptr when the attach window has
   /// closed (push: host already emitted; pull: producer closed, or
   /// finished and read to its end) or the host aborted. `ctx` is the
@@ -108,10 +58,10 @@ class SharingChannel : public PageSink {
   /// produced; on_close runs then.
   virtual void Finish(Status final) { Close(std::move(final)); }
 
-  virtual Stats GetStats() const = 0;
-
-  /// Deep state for the admin surface (see Introspection).
-  virtual Introspection Introspect() const = 0;
+  /// The session's view (shared_pages_list.h) for `/channels` and the
+  /// watchdog. Rides the channel's existing synchronization (its mutex,
+  /// or the SPL's shard latches and list mutex); never on a page path.
+  virtual SessionView Introspect() const = 0;
 
   /// Which SP model this channel implements (kPush or kPull).
   virtual SpMode mode() const = 0;
@@ -143,11 +93,11 @@ struct SharingChannelOptions {
   /// Invoked exactly once, when the session's attach window closes: after
   /// Close has propagated to every reader, or for a pull session ended by
   /// Finish, at its seal (possibly on a reader's thread, after the
-  /// channel is gone). Receives the channel's closing stats (satellite
-  /// count, pages produced, lag) so the stage can feed its adaptive
+  /// channel is gone). Receives the session's closing view (readers
+  /// attached, pages published, lag) so the stage can feed its adaptive
   /// policy and deregister the session. Called without channel locks
   /// held.
-  std::function<void(const SharingChannel::Stats&)> on_close;
+  std::function<void(const SessionView&)> on_close;
 
   /// Online cost measurement hooks (the adaptive cost model's EWMA feed;
   /// see SharingCostModel::RecordCopyCost/RecordAttachCost). Both are

@@ -234,20 +234,19 @@ Stage::AdmissionChoice Stage::ChooseAdaptiveMode(
                          decision.confidence};
 }
 
-void Stage::RecordSessionClose(uint64_t sig,
-                               const SharingChannel::Stats& stats) {
+void Stage::RecordSessionClose(uint64_t sig, const SessionView& view) {
   // The signature's ring buffer sees the raw session outcome in two views:
   // the lag is FIFO-capped (the push-convoy signal — a pull session can
   // run arbitrarily far ahead of a reader, and that must not read as a
   // convoy), the retention is not (the spill-demand signal).
   SignatureStats::SessionSample sample;
-  sample.satellites = stats.readers_attached > 1
-                          ? static_cast<double>(stats.readers_attached - 1)
+  sample.satellites = view.ever_attached > 1
+                          ? static_cast<double>(view.ever_attached - 1)
                           : 0.0;
-  sample.pages = static_cast<double>(stats.pages_produced);
+  sample.pages = static_cast<double>(view.published);
   sample.lag = static_cast<double>(
-      std::min(stats.max_consumer_lag, options_.fifo_capacity));
-  sample.retention = static_cast<double>(stats.max_consumer_lag);
+      std::min(view.max_consumer_lag, options_.fifo_capacity));
+  sample.retention = static_cast<double>(view.max_consumer_lag);
   cost_model_->RecordSession(sig, sample);
 }
 
@@ -356,11 +355,11 @@ PageSourceRef Stage::SubmitFresh(PlanNodeRef node, ExecContextRef ctx,
   // but the channel is constructed after the hook — bridge with a slot.
   auto self_slot = std::make_shared<std::weak_ptr<SharingChannel>>();
   copts.on_close = [guard = close_guard_, sig,
-                    self_slot](const SharingChannel::Stats& stats) {
+                    self_slot](const SessionView& view) {
     std::lock_guard<std::mutex> guard_lock(guard->mutex);
     Stage* stage = guard->stage;
     if (stage == nullptr) return;
-    stage->RecordSessionClose(sig, stats);
+    stage->RecordSessionClose(sig, view);
     std::lock_guard<std::mutex> lock(stage->registry_mutex_);
     auto it = stage->channels_.find(sig);
     if (it != stage->channels_.end() && it->second == self_slot->lock()) {

@@ -125,7 +125,7 @@ class Stage {
   struct ChannelSnapshot {
     std::string stage;
     uint64_t signature = 0;
-    SharingChannel::Introspection info;
+    SessionView info;
   };
 
   /// Deep dump of every in-flight sharing session (the admin server's
@@ -181,7 +181,7 @@ class Stage {
                                      int64_t submissions_since_last_seen);
 
   /// Folds a closed channel's stats into the signature's history.
-  void RecordSessionClose(uint64_t sig, const SharingChannel::Stats& stats);
+  void RecordSessionClose(uint64_t sig, const SessionView& view);
 
   std::string name_;
   mutable std::mutex mode_mutex_;

@@ -374,21 +374,20 @@ std::string ChannelsJson(const std::vector<Stage::ChannelSnapshot>& channels) {
     const auto& info = channel.info;
     AppendField(&out, "mode", std::string(SpModeToString(info.mode)), &first);
     AppendField(&out, "readers_attached",
-                static_cast<int64_t>(info.stats.readers_attached), &first);
+                static_cast<int64_t>(info.ever_attached), &first);
     AppendField(&out, "readers_active",
-                static_cast<int64_t>(info.stats.readers_active), &first);
-    AppendField(&out, "pages_produced",
-                static_cast<int64_t>(info.stats.pages_produced), &first);
-    AppendField(&out, "max_consumer_lag",
-                static_cast<int64_t>(info.stats.max_consumer_lag), &first);
-    AppendField(&out, "attach_window_open", info.stats.attach_window_open,
+                static_cast<int64_t>(info.active_readers), &first);
+    AppendField(&out, "pages_produced", static_cast<int64_t>(info.published),
                 &first);
+    AppendField(&out, "max_consumer_lag",
+                static_cast<int64_t>(info.max_consumer_lag), &first);
+    AppendField(&out, "attach_window_open", info.attach_window_open, &first);
     AppendField(&out, "resident_pages",
                 static_cast<int64_t>(info.resident_pages), &first);
     AppendField(&out, "spilled_pages",
                 static_cast<int64_t>(info.spilled_pages), &first);
-    AppendField(&out, "reclaimed_pages",
-                static_cast<int64_t>(info.reclaimed_pages), &first);
+    AppendField(&out, "reclaimed_pages", static_cast<int64_t>(info.reclaimed),
+                &first);
     AppendField(&out, "min_reader_position",
                 static_cast<int64_t>(info.min_reader_position), &first);
     AppendField(&out, "closed", info.closed, &first);

@@ -9,7 +9,7 @@
 // real engine would need minutes to reach. Every callback must be
 // thread-safe and ride *existing* synchronization — the scrape path
 // must add no locking to the sharing hot path (see
-// SharedPagesList::GetDeepSnapshot, Stage::ChannelsSnapshot).
+// SharedPagesList::View, Stage::ChannelsSnapshot).
 
 #pragma once
 
@@ -39,7 +39,8 @@ struct EngineInspector {
   /// In-flight queries (submitted, not yet finished/abandoned).
   std::function<std::vector<QPipeEngine::LiveQueryInfo>()> queries;
 
-  /// Deep dump of every live sharing session across all stages.
+  /// Every live sharing session across all stages, each as its one
+  /// SessionView (shared_pages_list.h) tagged with stage and signature.
   std::function<std::vector<Stage::ChannelSnapshot>()> channels;
 
   /// Per-stage cost-model snapshots.

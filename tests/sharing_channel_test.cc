@@ -36,7 +36,7 @@ int64_t FirstValue(const PageRef& page) {
 class SharingChannelTest : public ::testing::TestWithParam<SpMode> {
  protected:
   SharingChannelRef MakeChannel(
-      std::function<void(const SharingChannel::Stats&)> on_close = {}) {
+      std::function<void(const SessionView&)> on_close = {}) {
     SharingChannelOptions options;
     options.metrics = &metrics_;
     options.fifo_capacity = 16;
@@ -123,10 +123,10 @@ TEST_P(SharingChannelTest, AllReadersCancellingStopsProducer) {
 }
 
 TEST_P(SharingChannelTest, OnCloseReportsSessionStats) {
-  SharingChannel::Stats closing;
+  SessionView closing;
   std::atomic<int> close_calls{0};
-  auto channel = MakeChannel([&](const SharingChannel::Stats& stats) {
-    closing = stats;
+  auto channel = MakeChannel([&](const SessionView& view) {
+    closing = view;
     close_calls.fetch_add(1);
   });
   auto host = channel->AttachReader();
@@ -140,8 +140,8 @@ TEST_P(SharingChannelTest, OnCloseReportsSessionStats) {
   while (satellite->Next()) {
   }
   EXPECT_EQ(close_calls.load(), 1);
-  EXPECT_EQ(closing.readers_attached, 2u);
-  EXPECT_EQ(closing.pages_produced, 2u);
+  EXPECT_EQ(closing.ever_attached, 2u);
+  EXPECT_EQ(closing.published, 2u);
   EXPECT_FALSE(closing.attach_window_open);
 }
 
@@ -311,9 +311,9 @@ TEST(PullChannelTest, FinishedSessionStaysOpenUntilReadToTheEnd) {
   SharingChannelOptions options;
   options.metrics = &metrics;
   std::atomic<int> close_calls{0};
-  SharingChannel::Stats closing;
-  options.on_close = [&](const SharingChannel::Stats& stats) {
-    closing = stats;
+  SessionView closing;
+  options.on_close = [&](const SessionView& view) {
+    closing = view;
     close_calls.fetch_add(1);
   };
   auto channel = MakeSharingChannel(SpMode::kPull, std::move(options));
@@ -321,6 +321,9 @@ TEST(PullChannelTest, FinishedSessionStaysOpenUntilReadToTheEnd) {
   channel->Put(MakePage(1));
   channel->Put(MakePage(2));
   channel->Finish(Status::OK());
+  EXPECT_TRUE(channel->Introspect().closed);
+  EXPECT_TRUE(channel->Introspect().attach_window_open)
+      << "/channels must show the window a twin can still attach through";
 
   // The host finished before its twin arrived; nobody has read the end.
   auto late = channel->AttachReader();
@@ -331,9 +334,10 @@ TEST(PullChannelTest, FinishedSessionStaysOpenUntilReadToTheEnd) {
   EXPECT_EQ(late_count, 2) << "the late twin reads the whole result";
 
   // A reader saw end-of-stream: the window sealed before it returned.
+  EXPECT_FALSE(channel->Introspect().attach_window_open);
   EXPECT_EQ(channel->AttachReader(), nullptr);
   EXPECT_EQ(close_calls.load(), 1);
-  EXPECT_EQ(closing.readers_attached, 2u);
+  EXPECT_EQ(closing.ever_attached, 2u);
   EXPECT_FALSE(closing.attach_window_open);
   int host_count = 0;
   while (host->Next()) ++host_count;
@@ -347,7 +351,7 @@ TEST(PullChannelTest, FinishedSessionSealsWhenEveryReaderLeaves) {
   SharingChannelOptions options;
   options.metrics = &metrics;
   std::atomic<int> close_calls{0};
-  options.on_close = [&](const SharingChannel::Stats&) {
+  options.on_close = [&](const SessionView&) {
     close_calls.fetch_add(1);
   };
   auto channel = MakeSharingChannel(SpMode::kPull, std::move(options));
