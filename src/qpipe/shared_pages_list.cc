@@ -192,8 +192,7 @@ void SharedPagesList::SealAtEnd() {
 
 std::shared_ptr<SplReader> SharedPagesList::AttachReader(ExecContextRef ctx) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (sealed_.load(std::memory_order_relaxed)) return nullptr;
-  if (closed_.load(std::memory_order_relaxed) && !final_.ok()) return nullptr;
+  if (!AttachWindowOpenLocked()) return nullptr;
   auto state = std::make_shared<ReaderState>();
   auto reader =
       std::shared_ptr<SplReader>(new SplReader(shared_from_this(), state,
@@ -287,8 +286,7 @@ SessionView SharedPagesList::View() const {
   view.active_readers = active_readers_.load(std::memory_order_relaxed);
   view.closed = closed_.load(std::memory_order_relaxed);
   view.sealed = sealed_.load(std::memory_order_relaxed);
-  // AttachReader's own test.
-  view.attach_window_open = !view.sealed && (!view.closed || final_.ok());
+  view.attach_window_open = AttachWindowOpenLocked();
   return view;
 }
 

@@ -365,6 +365,13 @@ class SharedPagesList
            (ever_attached_ > 0 || sealed_.load(std::memory_order_relaxed));
   }
 
+  /// AttachReader would succeed: not sealed, and not closed with an
+  /// error. Requires mutex_ held.
+  bool AttachWindowOpenLocked() const {
+    return !sealed_.load(std::memory_order_relaxed) &&
+           (!closed_.load(std::memory_order_relaxed) || final_.ok());
+  }
+
   /// Largest position across active readers (per-shard latches only;
   /// callable with or without mutex_).
   std::size_t MaxReaderPosition() const;
