@@ -28,6 +28,12 @@
 #      `GetSnapshot(`, `SharingChannel::Stats`, `ReaderIntrospection` or
 #      `StatsOf` under src, tests, bench, tools or examples, and one
 #      reader view (one `int64_t parked_for_micros` field) under src.
+#   8. The I/O layer waits one way and dispatches one way: none of
+#      `budget_mib_per_sec`, `RefillLocked` or
+#      `kIoStallMicros{Prefetch,Faultback,Spill}` under src, tests,
+#      bench, tools or examples, and no spin loop on
+#      `std::chrono::steady_clock::now()` in src/storage/disk_manager.cc
+#      (the disk model sleeps).
 # The point: the documentation surface cannot silently rot as knobs,
 # metrics, examples and benches are added or removed.
 set -euo pipefail
@@ -218,6 +224,20 @@ if [[ $(grep -c . <<<"$reader_views" || true) -gt 1 ]]; then
   done <<<"$reader_views"
   fail=1
 fi
+
+# --- 8. one wait, one dispatch path in the I/O layer -----------------------
+while IFS= read -r hit; do
+  [[ -z "$hit" ]] && continue
+  echo "docs-check: the I/O scheduler has no throttle; dispatch by priority only: $hit"
+  fail=1
+done < <(grep -rnE 'budget_mib_per_sec|RefillLocked|kIoStallMicros(Prefetch|Faultback|Spill)' \
+           src tests bench tools examples || true)
+while IFS= read -r hit; do
+  [[ -z "$hit" ]] && continue
+  echo "docs-check: the disk model sleeps; no spin on the clock: $hit"
+  fail=1
+done < <(grep -HnF 'while (std::chrono::steady_clock::now()' \
+           src/storage/disk_manager.cc || true)
 
 if [[ $fail -ne 0 ]]; then
   echo "docs-check: FAILED"

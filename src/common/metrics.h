@@ -258,20 +258,16 @@ inline constexpr const char* kSpReaderParks = "sp.reader_parks";
 inline constexpr const char* kIoReadsIssued = "io.reads_issued";
 inline constexpr const char* kIoWritesIssued = "io.writes_issued";
 inline constexpr const char* kIoQueueDepth = "io.queue_depth";  // gauge
+// Unregistered (no throttle stalls the scheduler); bench_e2e reads it as 0.
 inline constexpr const char* kIoStallMicros = "io.stall_micros";
-// Per-priority-class scheduler visibility (the aggregates above hide
-// which class is backed up or starved).
+// Per-priority-class scheduler visibility (the aggregate above hides
+// which class is backed up).
 inline constexpr const char* kIoQueueDepthPrefetch =
     "io.queue_depth.prefetch";  // gauge
 inline constexpr const char* kIoQueueDepthFaultback =
     "io.queue_depth.faultback";  // gauge
 inline constexpr const char* kIoQueueDepthSpill =
     "io.queue_depth.spill";  // gauge
-inline constexpr const char* kIoStallMicrosPrefetch =
-    "io.stall_micros.prefetch";
-inline constexpr const char* kIoStallMicrosFaultback =
-    "io.stall_micros.faultback";
-inline constexpr const char* kIoStallMicrosSpill = "io.stall_micros.spill";
 // Adaptive-admission cost model (see qpipe/cost_model.h).
 inline constexpr const char* kPolicyDecisionsShared =
     "policy.decisions_shared";

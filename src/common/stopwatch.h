@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 
 namespace sharing {
 
@@ -34,6 +35,14 @@ class Stopwatch {
 
 /// Process-wide CPU time (user + system), in seconds.
 double ProcessCpuSeconds();
+
+/// CPU nanoseconds consumed by the calling thread: unlike wall time it
+/// stands still while the thread sleeps or is preempted.
+inline int64_t ThreadCpuNanos() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
 
 /// Measures CPU seconds consumed between construction and Elapsed().
 class CpuTimer {

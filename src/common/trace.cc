@@ -34,6 +34,9 @@ struct Slot {
   std::atomic<const char*> arg_key[Trace::kMaxArgs] = {};
   std::atomic<int64_t> arg_value[Trace::kMaxArgs] = {};
 };
+// A 16 B header, six 8 B fields and four 16 B args: the per-event memory
+// docs/KNOBS.md and docs/TRACING.md quote for the ring.
+static_assert(sizeof(Slot) == 128, "ring slot size changed; update the docs");
 
 /// A decoded, stable copy of one slot (what the exporter works with).
 struct DecodedEvent {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "common/fault.h"
@@ -13,17 +14,11 @@ namespace sharing {
 
 namespace {
 
-constexpr double kMiB = 1024.0 * 1024.0;
-
 /// Trace span / instant names per priority class (index = IoPriority).
 constexpr const char* kJobSpanName[kIoPriorityClasses] = {
     "io.prefetch", "io.faultback", "io.spill"};
 constexpr const char* kEnqueueName[kIoPriorityClasses] = {
     "io.enqueue.prefetch", "io.enqueue.faultback", "io.enqueue.spill"};
-
-/// Minimum burst so a single 8 KiB page job is always affordable from a
-/// full bucket, even under a tiny configured rate.
-constexpr double kMinBurstBytes = 64.0 * 1024.0;
 
 bool IsReadClass(IoPriority priority) {
   return priority != IoPriority::kSpillWrite;
@@ -90,7 +85,6 @@ IoScheduler::IoScheduler(Options options)
     : options_(options),
       reads_issued_(options_.metrics->GetCounter(metrics::kIoReadsIssued)),
       writes_issued_(options_.metrics->GetCounter(metrics::kIoWritesIssued)),
-      stall_micros_(options_.metrics->GetCounter(metrics::kIoStallMicros)),
       retries_(options_.metrics->GetCounter(metrics::kIoRetries)),
       retry_gave_up_(options_.metrics->GetCounter(metrics::kIoRetryGaveUp)),
       queue_depth_(options_.metrics->GetGauge(metrics::kIoQueueDepth)),
@@ -98,22 +92,10 @@ IoScheduler::IoScheduler(Options options)
           options_.metrics->GetGauge(metrics::kIoQueueDepthPrefetch),
           options_.metrics->GetGauge(metrics::kIoQueueDepthFaultback),
           options_.metrics->GetGauge(metrics::kIoQueueDepthSpill)},
-      class_stall_micros_{
-          options_.metrics->GetCounter(metrics::kIoStallMicrosPrefetch),
-          options_.metrics->GetCounter(metrics::kIoStallMicrosFaultback),
-          options_.metrics->GetCounter(metrics::kIoStallMicrosSpill)},
       class_dispatch_wait_{
           options_.metrics->GetHistogram(metrics::kIoDispatchWaitPrefetch),
           options_.metrics->GetHistogram(metrics::kIoDispatchWaitFaultback),
-          options_.metrics->GetHistogram(metrics::kIoDispatchWaitSpill)},
-      rate_bytes_per_sec_(static_cast<double>(options_.budget_mib_per_sec) *
-                          kMiB),
-      burst_bytes_(std::max(kMinBurstBytes, rate_bytes_per_sec_ / 4.0)) {
-  const auto now = std::chrono::steady_clock::now();
-  for (Bucket& bucket : buckets_) {
-    bucket.tokens = burst_bytes_;
-    bucket.last = now;
-  }
+          options_.metrics->GetHistogram(metrics::kIoDispatchWaitSpill)} {
   const std::size_t threads = std::max<std::size_t>(1, options_.threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -162,16 +144,6 @@ std::size_t IoScheduler::QueueDepth() const {
 std::size_t IoScheduler::QueueDepth(IoPriority priority) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queues_[static_cast<std::size_t>(priority)].size();
-}
-
-void IoScheduler::RefillLocked(Bucket& bucket,
-                               std::chrono::steady_clock::time_point now) {
-  if (rate_bytes_per_sec_ <= 0) return;
-  const double elapsed =
-      std::chrono::duration<double>(now - bucket.last).count();
-  bucket.last = now;
-  bucket.tokens =
-      std::min(burst_bytes_, bucket.tokens + elapsed * rate_bytes_per_sec_);
 }
 
 void IoScheduler::FinishJob(Job job, Status status) {
@@ -228,123 +200,47 @@ Status IoScheduler::RunWithRetry(const Job& job) {
 void IoScheduler::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    const auto now = std::chrono::steady_clock::now();
-    bool throttled_jobs = false;
-    std::array<bool, kIoPriorityClasses> class_throttled{};
-    // Timed-wait bound when every non-empty class is throttled: the
-    // earliest bucket recovery, capped at 1ms so a fresh submission to
-    // an affordable class is picked up promptly even if its notify
-    // races the wait.
-    auto min_token_wait = std::chrono::microseconds(1000);
-    bool progressed = false;
-    for (std::size_t cls = 0; cls < kIoPriorityClasses && !progressed;
-         ++cls) {
-      auto& queue = queues_[cls];
-      if (queue.empty()) continue;
-      bool head_cancelled;
-      {
-        // A cancelled head job is discarded regardless of the bucket —
-        // it consumes no tokens, so it must not wait for any.
-        std::lock_guard<std::mutex> tlock(queue.front().ticket->mutex_);
-        head_cancelled = queue.front().ticket->cancelled_;
-      }
-      if (head_cancelled) {
-        Job job = std::move(queue.front());
-        queue.pop_front();
-        queue_depth_->Sub(1);
-        class_queue_depth_[cls]->Sub(1);
-        lock.unlock();  // skip hooks may take client locks
-        if (job.on_skip) job.on_skip();
-        FinishJob(std::move(job), Status::Aborted("io job cancelled"));
-        lock.lock();
-        progressed = true;
-        continue;
-      }
-      Bucket& bucket = buckets_[cls];
-      RefillLocked(bucket, now);
-      // A positive bucket affords any job (the overdraft throttles the
-      // next one), so jobs larger than the burst are never starved. The
-      // affordability test precedes the claim: a class that cannot pay
-      // yields to lower classes instead of head-of-line blocking them.
-      const bool affordable = rate_bytes_per_sec_ <= 0 || bucket.tokens > 0;
-      if (!affordable) {
-        throttled_jobs = true;
-        class_throttled[cls] = true;
-        min_token_wait = std::min(
-            min_token_wait,
-            std::chrono::microseconds(
-                1 + static_cast<int64_t>(-bucket.tokens /
-                                         rate_bytes_per_sec_ * 1e6)));
-        continue;
-      }
-      Job job = std::move(queue.front());
-      queue.pop_front();
-      queue_depth_->Sub(1);
-      class_queue_depth_[cls]->Sub(1);
-      // Claim atomically against TryCancel: once state_ is kRunning a
-      // concurrent TryCancel returns false, so "TryCancel returned true"
-      // really does guarantee the work never runs.
-      bool run;
-      {
-        std::lock_guard<std::mutex> tlock(job.ticket->mutex_);
-        run = !job.ticket->cancelled_;
-        if (run) job.ticket->state_ = IoTicket::State::kRunning;
-      }
-      if (run) bucket.tokens -= static_cast<double>(job.bytes);
-      lock.unlock();
-      if (run) {
-        // Submit→claim latency, by class: the queueing delay this job
-        // actually paid under strict priority + token buckets.
-        const int64_t wait_micros = Trace::NowMicros() - job.submit_micros;
-        class_dispatch_wait_[cls]->Record(wait_micros);
-        Status st;
-        {
-          TraceSpan span("io", kJobSpanName[cls]);
-          span.AddArg("bytes", static_cast<int64_t>(job.bytes));
-          span.AddArg("queue_wait_us", wait_micros);
-          st = RunWithRetry(job);
-        }
-        FinishJob(std::move(job), std::move(st));
-      } else {
-        if (job.on_skip) job.on_skip();
-        FinishJob(std::move(job), Status::Aborted("io job cancelled"));
-      }
-      lock.lock();
-      progressed = true;
-    }
-    if (progressed) continue;
-    if (throttled_jobs) {
-      // Work is pending but every non-empty class's bucket is dry: an
-      // I/O stall by construction. Only one worker at a time accounts
-      // it, so io.stall_micros approximates *wall-clock* stall instead
-      // of inflating by the number of idle workers.
-      const bool account = !stall_accounted_.exchange(true);
-      const auto t0 = std::chrono::steady_clock::now();
-      cv_.wait_for(lock, min_token_wait);
-      if (account) {
-        const int64_t waited =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        stall_micros_->Add(waited);
-        // Attribute the same wall-clock window to every class that had
-        // work pending on a dry bucket: per-class stalls answer "who is
-        // starved", not "how much total" (that's the aggregate above).
-        for (std::size_t cls = 0; cls < kIoPriorityClasses; ++cls) {
-          if (class_throttled[cls]) class_stall_micros_[cls]->Add(waited);
-        }
-        stall_accounted_.store(false);
-      }
+    // Strict priority: the head of the highest non-empty class.
+    auto queue = std::find_if(queues_.begin(), queues_.end(),
+                              [](const auto& q) { return !q.empty(); });
+    if (queue == queues_.end()) {
+      if (shutdown_) return;  // Shutdown drained the queues before waking us
+      cv_.wait(lock);
       continue;
     }
-    if (shutdown_) return;  // Shutdown drained the queues before waking us
-    cv_.wait(lock, [&] {
-      if (shutdown_) return true;
-      for (const auto& queue : queues_) {
-        if (!queue.empty()) return true;
+    const std::size_t cls = static_cast<std::size_t>(queue - queues_.begin());
+    Job job = std::move(queue->front());
+    queue->pop_front();
+    queue_depth_->Sub(1);
+    class_queue_depth_[cls]->Sub(1);
+    // Claim atomically against TryCancel: once state_ is kRunning a
+    // concurrent TryCancel returns false, so "TryCancel returned true"
+    // really does guarantee the work never runs.
+    bool run;
+    {
+      std::lock_guard<std::mutex> tlock(job.ticket->mutex_);
+      run = !job.ticket->cancelled_;
+      if (run) job.ticket->state_ = IoTicket::State::kRunning;
+    }
+    lock.unlock();  // the job, and skip hooks, may take client locks
+    if (run) {
+      // Submit→claim latency, by class: the queueing delay this job
+      // actually paid under strict priority.
+      const int64_t wait_micros = Trace::NowMicros() - job.submit_micros;
+      class_dispatch_wait_[cls]->Record(wait_micros);
+      Status st;
+      {
+        TraceSpan span("io", kJobSpanName[cls]);
+        span.AddArg("bytes", static_cast<int64_t>(job.bytes));
+        span.AddArg("queue_wait_us", wait_micros);
+        st = RunWithRetry(job);
       }
-      return false;
-    });
+      FinishJob(std::move(job), std::move(st));
+    } else {
+      if (job.on_skip) job.on_skip();
+      FinishJob(std::move(job), Status::Aborted("io job cancelled"));
+    }
+    lock.lock();
   }
 }
 

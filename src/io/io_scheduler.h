@@ -12,10 +12,10 @@
 // (readahead keeps every consumer of a shared circular scan moving;
 // fault-backs unblock a reader that is already waiting; spill writes are
 // pure background — nobody waits on durability except the memory budget).
-// Each class has its own token-bucket byte budget derived from the same
-// MiB/s notion as `DiskOptions`' bandwidth model, so a saturated class
-// throttles itself instead of starving the others; time spent waiting for
-// tokens while work was pending is charged to `io.stall_micros`.
+// A worker has one dispatch path: pop the head of the highest-priority
+// non-empty class, then run it or, if its ticket was cancelled, skip it.
+// The device's speed is the disk model's business (`DiskManager` sleeps
+// for each modeled read), not the scheduler's.
 //
 // Callers get an `IoTicket` — a tiny completion future with
 // best-effort cancellation. A job whose ticket is cancelled before a
@@ -26,13 +26,9 @@
 // spill write leaves its page resident, a skipped prefetch is just a
 // future buffer-pool miss.
 //
-// Observability: `io.reads_issued` / `io.writes_issued` (jobs submitted
-// per direction), `io.queue_depth` (gauge over queued-not-yet-running
-// jobs, with high-water mark), `io.stall_micros` (token-bucket waits) —
-// plus the per-class views `io.queue_depth.{prefetch,faultback,spill}`
-// and `io.stall_micros.{prefetch,faultback,spill}`, which say *which*
-// class is backed up or starved when the aggregates only say "some".
-// See DESIGN.md decision #9 and docs/METRICS.md.
+// Observability: the `io.*` metrics count jobs per direction, gauge the
+// queue overall and per class, and time each class's submit-to-claim
+// wait. See DESIGN.md decision #9 and docs/METRICS.md.
 //
 // Ownership: the scheduler's creator owns its lifetime and must call
 // Shutdown() (or let the destructor run, on a non-worker thread) when
@@ -47,13 +43,13 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -75,15 +71,9 @@ enum class IoPriority : uint8_t {
 inline constexpr std::size_t kIoPriorityClasses = 3;
 
 inline std::string_view IoPriorityToString(IoPriority p) {
-  switch (p) {
-    case IoPriority::kScanPrefetch:
-      return "scan-prefetch";
-    case IoPriority::kFaultBack:
-      return "fault-back";
-    case IoPriority::kSpillWrite:
-      return "spill-write";
-  }
-  return "?";
+  constexpr std::string_view kNames[kIoPriorityClasses] = {
+      "scan-prefetch", "fault-back", "spill-write"};
+  return kNames[static_cast<std::size_t>(p)];
 }
 
 /// Completion handle for one submitted job. Created by the scheduler;
@@ -129,12 +119,6 @@ class IoScheduler {
     /// I/O worker threads (at least 1).
     std::size_t threads = 2;
 
-    /// Per-class token-bucket refill rate in MiB/s; 0 = unthrottled.
-    /// Matches the MiB/s unit of DiskOptions::read_bandwidth_mib, so a
-    /// disk-resident configuration can cap scheduler traffic at the
-    /// modeled device bandwidth.
-    std::size_t budget_mib_per_sec = 0;
-
     /// Re-attempts granted to a job whose work body fails with a
     /// *transient* status (kIoError / kUnavailable) before the failure is
     /// surfaced on the ticket. 0 disables retry. Each re-attempt waits an
@@ -160,9 +144,9 @@ class IoScheduler {
 
   SHARING_DISALLOW_COPY_AND_MOVE(IoScheduler);
 
-  /// Enqueues `work` under `priority`; `bytes` is the job's size for the
-  /// class's token bucket. `on_skip` (optional) fires exactly when the
-  /// job will never run — cancelled before start, or dropped by
+  /// Enqueues `work` under `priority`; `bytes` is the job's size, an
+  /// argument of its trace events. `on_skip` (optional) fires exactly
+  /// when the job will never run — cancelled before start, or dropped by
   /// Shutdown — so the owner can roll back any "I/O in flight"
   /// bookkeeping. Returns nullptr after Shutdown (callers fall back to
   /// synchronous I/O or decline).
@@ -173,8 +157,6 @@ class IoScheduler {
   /// on_skip hooks fire), lets running jobs finish, joins workers.
   /// Idempotent; also run by the destructor.
   void Shutdown();
-
-  std::size_t threads() const { return workers_.size(); }
 
   /// Jobs queued and not yet picked up, across all classes.
   std::size_t QueueDepth() const;
@@ -196,17 +178,7 @@ class IoScheduler {
     int64_t submit_micros = 0;
   };
 
-  /// One class's byte bucket. Guarded by mutex_. Tokens may go negative
-  /// (an oversized job runs when the bucket is positive and leaves debt),
-  /// which keeps long-run throughput at the configured rate without
-  /// starving jobs larger than the burst.
-  struct Bucket {
-    double tokens = 0;
-    std::chrono::steady_clock::time_point last{};
-  };
-
   void WorkerLoop();
-  void RefillLocked(Bucket& bucket, std::chrono::steady_clock::time_point now);
 
   /// One execution of the job's work body, with the io.dispatch.* fault
   /// points (injected latency / transient failure) applied around it.
@@ -227,30 +199,21 @@ class IoScheduler {
   Options options_;
   Counter* reads_issued_;
   Counter* writes_issued_;
-  Counter* stall_micros_;
   Counter* retries_;
   Counter* retry_gave_up_;
   Gauge* queue_depth_;
   /// Per-class views of the two aggregates above, indexed by IoPriority.
   std::array<Gauge*, kIoPriorityClasses> class_queue_depth_;
-  std::array<Counter*, kIoPriorityClasses> class_stall_micros_;
   /// Per-class submit→claim latency (io.dispatch_wait.{prefetch,
   /// faultback,spill}) — the queueing delay a strict-priority class
-  /// actually experienced, as distinct from token-bucket stalls.
+  /// actually experienced.
   std::array<Histogram*, kIoPriorityClasses> class_dispatch_wait_;
-
-  const double rate_bytes_per_sec_;
-  const double burst_bytes_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::array<std::deque<Job>, kIoPriorityClasses> queues_;
-  std::array<Bucket, kIoPriorityClasses> buckets_;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
-  /// True while one worker owns the stall-accounting window; keeps
-  /// io.stall_micros a wall-clock measure, not a per-worker sum.
-  std::atomic<bool> stall_accounted_{false};
 };
 
 }  // namespace sharing

@@ -70,7 +70,7 @@ struct QPipeOptions {
   bool trace_enabled = false;
 
   /// Per-thread trace ring capacity in events (overwrite-oldest).
-  /// Bounded memory: threads * trace_buffer_events * ~176 bytes.
+  /// Bounded memory: threads * trace_buffer_events * 128 bytes.
   std::size_t trace_buffer_events = 8192;
 
   /// Embedded admin/introspection HTTP server (see server/admin_server.h):

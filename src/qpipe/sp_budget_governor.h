@@ -244,8 +244,8 @@ class SpBudgetGovernor
   /// bit-identical to the original. The chain stays allocated (other
   /// readers may fault the same page); it is freed when the last
   /// SpilledPageRef dies. Runs on the calling thread; demand fault-backs
-  /// should go through UnspillBlocking so the read is prioritized and
-  /// budget-throttled by the scheduler.
+  /// should go through UnspillBlocking so the scheduler prioritizes the
+  /// read.
   StatusOr<PageRef> Unspill(const SpilledPage& spilled);
 
   /// Demand fault-back via the scheduler's kFaultBack class: the chain

@@ -187,7 +187,7 @@ class ScanCursor {
          prefetched_until_ = s++) {
       BufferPool* pool = table_->buffer_pool();
       const PageId pid = table_->page_id(s % table_->num_pages());
-      // A resident page would be a free hit: don't spend scheduler budget
+      // A resident page would be a free hit: don't spend a scheduler job
       // (or inflate io.reads_issued) on it. The job captures only the
       // database-owned pool and the page id, so it stays safe if the scan
       // dies before it runs.

@@ -105,8 +105,6 @@ class DiskManager {
     return next_page_.load(std::memory_order_relaxed);
   }
 
-  const DiskOptions& options() const { return options_; }
-
   /// Replaces the latency model at run time (benchmarks flip between
   /// memory-resident and disk-resident regimes on the same data).
   void SetLatencyModel(uint32_t read_latency_micros,
@@ -116,7 +114,6 @@ class DiskManager {
   void ChargeReadLatency(std::size_t bytes);
 
   DiskOptions options_;
-  MetricsRegistry* metrics_;
   Counter* reads_counter_;
   Counter* writes_counter_;
 

@@ -58,9 +58,6 @@ constexpr const char* kAllMetricNames[] = {
     metrics::kIoQueueDepthPrefetch,
     metrics::kIoQueueDepthFaultback,
     metrics::kIoQueueDepthSpill,
-    metrics::kIoStallMicrosPrefetch,
-    metrics::kIoStallMicrosFaultback,
-    metrics::kIoStallMicrosSpill,
     metrics::kPolicyDecisionsShared,
     metrics::kPolicyDecisionsUnshared,
     metrics::kPolicyFlips,

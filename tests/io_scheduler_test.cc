@@ -1,11 +1,10 @@
 // Tests for the asynchronous I/O subsystem: IoScheduler priority
-// ordering, token-bucket budget throttling, cancellation and shutdown
-// semantics, the DiskManager submit-style async page API, the spill
-// tier's durability-before-unpin contract (pages stay resident and
-// readable until their async spill write lands), the governor's
-// effective (post-async-window) retention accounting, and circular-scan
-// readahead including attach/detach/cancel stress and slow-consumer
-// backpressure.
+// ordering, cancellation and shutdown semantics, the DiskManager
+// submit-style async page API, the spill tier's durability-before-unpin
+// contract (pages stay resident and readable until their async spill
+// write lands), the governor's effective (post-async-window) retention
+// accounting, and circular-scan readahead including attach/detach/cancel
+// stress and slow-consumer backpressure.
 
 #include <gtest/gtest.h>
 
@@ -53,11 +52,9 @@ struct Gate {
 };
 
 IoScheduler::Options SchedulerOptions(MetricsRegistry* metrics,
-                                      std::size_t threads,
-                                      std::size_t budget_mib = 0) {
+                                      std::size_t threads) {
   IoScheduler::Options options;
   options.threads = threads;
-  options.budget_mib_per_sec = budget_mib;
   options.metrics = metrics;
   return options;
 }
@@ -130,66 +127,6 @@ TEST(IoSchedulerTest, StrictPriorityOrderAcrossClasses) {
   // blocker, one write-class job.
   EXPECT_EQ(metrics.GetCounter(metrics::kIoReadsIssued)->Get(), 3);
   EXPECT_EQ(metrics.GetCounter(metrics::kIoWritesIssued)->Get(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// IoScheduler: token-bucket budget
-// ---------------------------------------------------------------------------
-
-TEST(IoSchedulerTest, BudgetThrottlesAndAccountsStall) {
-  MetricsRegistry metrics;
-  // 2 MiB/s per class, 512 KiB burst: 2 MiB of jobs must take well over
-  // half the nominal second even with the full burst up front.
-  IoScheduler scheduler(SchedulerOptions(&metrics, 1, /*budget_mib=*/2));
-
-  constexpr std::size_t kJobBytes = 64 * 1024;
-  constexpr int kJobs = 32;  // 2 MiB total
-  std::vector<IoTicketRef> tickets;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kJobs; ++i) {
-    tickets.push_back(scheduler.Submit(IoPriority::kFaultBack, kJobBytes,
-                                       [] { return Status::OK(); }));
-  }
-  for (const auto& ticket : tickets) {
-    ASSERT_NE(ticket, nullptr);
-    EXPECT_TRUE(ticket->Wait().ok());
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  // (2 MiB - 512 KiB burst) / 2 MiB/s = 0.75 s nominal; allow generous
-  // slack for CI-noise while still proving throttling happened.
-  EXPECT_GT(elapsed, 0.25);
-  EXPECT_GT(metrics.GetCounter(metrics::kIoStallMicros)->Get(), 100000);
-}
-
-TEST(IoSchedulerTest, ThrottledClassDoesNotBlockOtherClasses) {
-  MetricsRegistry metrics;
-  IoScheduler scheduler(SchedulerOptions(&metrics, 1, /*budget_mib=*/1));
-
-  // Exhaust the scan-prefetch bucket (256 KiB burst at 1 MiB/s) with one
-  // oversized job, then submit a fault-back job: it must not wait the
-  // ~2s the prefetch class needs to recover.
-  IoTicketRef big = scheduler.Submit(IoPriority::kScanPrefetch,
-                                     2 * 1024 * 1024, [] {
-                                       return Status::OK();
-                                     });
-  ASSERT_NE(big, nullptr);
-  ASSERT_TRUE(big->Wait().ok());
-  IoTicketRef drained = scheduler.Submit(IoPriority::kScanPrefetch, 1024,
-                                         [] { return Status::OK(); });
-  const auto t0 = std::chrono::steady_clock::now();
-  IoTicketRef fault = scheduler.Submit(IoPriority::kFaultBack, 1024,
-                                       [] { return Status::OK(); });
-  ASSERT_NE(fault, nullptr);
-  EXPECT_TRUE(fault->Wait().ok());
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_LT(elapsed, 1.0)
-      << "a dry higher-priority bucket must yield, not head-of-line block";
-  ASSERT_NE(drained, nullptr);
-  EXPECT_TRUE(drained->Wait().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 //               producer append CPU p99, admin-scrape perturbation ratio
 //   adaptive:   skinny/fat cost-model divergence (the per-signature
 //               policy's reason to exist), adaptive-vs-best-fixed wall
-//   io:         worst drain wall under a throttled budget, stall micros
+//   io:         worst drain wall, disk-model accuracy (worst observed/
+//               modeled ReadPage p50)
 //   spill:      bounded-memory proof (retained high-water vs budget)
 //   kernels:    operator kernel rows/s (scan+filter, join build/probe,
 //               hash aggregate on Q1 and on a high-cardinality key,
@@ -165,14 +166,19 @@ void FoldAdaptive(const std::vector<std::string>& rows, Headline* out) {
 }
 
 void FoldIo(const std::vector<std::string>& rows, Headline* out) {
-  double worst_drain = 0, max_stall = 0;
+  // The disk model's accuracy is its worst observed/modeled read p50.
+  double worst_drain = 0, worst_model_ratio = 0;
   for (const std::string& row : rows) {
     double v = 0;
     if (NumField(row, "drain_ms", &v) && v > worst_drain) worst_drain = v;
-    if (NumField(row, "stall_micros", &v) && v > max_stall) max_stall = v;
+    if (NumField(row, "read_p50_ratio", &v) && v > worst_model_ratio) {
+      worst_model_ratio = v;
+    }
   }
   if (worst_drain > 0) (*out)["io_worst_drain_ms"] = worst_drain;
-  (*out)["io_max_stall_micros"] = max_stall;
+  if (worst_model_ratio > 0) {
+    (*out)["io_read_model_p50_ratio"] = worst_model_ratio;
+  }
 }
 
 void FoldSpill(const std::vector<std::string>& rows, Headline* out) {
